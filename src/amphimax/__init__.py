@@ -19,9 +19,6 @@ from .diffusion import (
     exact_ic_spread,
     exact_rho_bar,
     exact_sigma,
-    generalized_sigma,
-    simulate_ic,
-    with_background,
 )
 from .generators import (
     gen_classic_im,
@@ -42,7 +39,7 @@ from .instance import (
     serialize_instance,
     validate,
 )
-from .net import EpsilonNet, Grid, NetSizeError, build_grid, build_net, build_weak_net, covering_point
+from .net import EpsilonNet, NetSizeError, build_grid, build_net, build_weak_net, covering_point
 from .relaxation import concave_relaxation, indicator, initial_activation, net_relaxation
 from .sdg import SdgConfig, SeedSolution, approximation_ratio, brute_force_opt, solve
 
@@ -50,7 +47,6 @@ __all__ = [
     "AimInstance",
     "EpsilonNet",
     "GreedyTrace",
-    "Grid",
     "InstanceFormatError",
     "InstanceValidationError",
     "NetSizeError",
@@ -77,7 +73,6 @@ __all__ = [
     "gen_planted_biclique",
     "gen_rank_r",
     "gen_three_layer",
-    "generalized_sigma",
     "greedy_max",
     "indicator",
     "initial_activation",
@@ -86,8 +81,6 @@ __all__ = [
     "numerical_rank",
     "parse_instance",
     "serialize_instance",
-    "simulate_ic",
     "solve",
     "validate",
-    "with_background",
 ]

@@ -3,7 +3,6 @@
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -41,25 +40,12 @@ def _load_instance(path):
     return parse_instance(raw), hashlib.sha256(raw).hexdigest()
 
 
-def _threads(args):
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("AMPHIMAX_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _manifest(args, checksum, elapsed_ms):
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return {
         "command": args.command,
         "config": config,
         "master_seed": getattr(args, "seed", None),
-        "threads": _threads(args),
         "instance_checksum": checksum,
         "version": __version__,
         "elapsed_ms": elapsed_ms,
@@ -90,14 +76,13 @@ def _cmd_solve(args):
         max_net_points=args.max_net_points,
     )
     solution, report = solve(instance, config)
-    basis = numerical_rank(instance.bipartite)
     payload = {
         "providers": list(solution.providers),
         "consumers": list(solution.consumers),
         "value": solution.value.mean,
         "std_error": solution.value.std_error,
         "net_size": len(report),
-        "rank": basis.rank,
+        "rank": solution.rank,
     }
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -185,11 +170,11 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"amphimax {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
+    def common(p, instance=True, seed=True):
         if instance:
             p.add_argument("--instance", required=True, help="instance JSON file")
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
-        p.add_argument("--threads", type=int, default=None, help="worker cap (AMPHIMAX_THREADS fallback)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master random seed")
         p.add_argument("--out", default=None, help="also write the result JSON here (plus a manifest)")
 
     p = sub.add_parser("solve", help="run the net + double greedy solver")
@@ -209,13 +194,13 @@ def _build_parser():
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("exact", help="exact spread on small instances")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--x", default="")
     p.add_argument("--y", default="")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("net", help="build the one-sided coordinate net")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--epsilon", type=float, required=True)
     p.set_defaults(func=_cmd_net)
 

@@ -38,14 +38,6 @@ class SpreadEstimate:
     stream_path: tuple = None
 
 
-def adjacency(instance):
-    """Out-edge lists [(target, probability), ...] indexed by source consumer."""
-    out = [[] for _ in range(instance.n_consumers)]
-    for u, w, p in instance.social_edges:
-        out[u].append((w, p))
-    return out
-
-
 @lru_cache(maxsize=256)
 def _edge_arrays(instance):
     edges = instance.social_edges
@@ -56,31 +48,6 @@ def _edge_arrays(instance):
     if len(edges):
         inc[np.arange(len(edges)), dst] = 1.0
     return src, dst, prob, inc
-
-
-def sample_initial_set(x, y, M, rng):
-    """One draw of the directly activated consumer set."""
-    probs = initial_activation(x, y, M)
-    return np.flatnonzero(rng.random(probs.size) < probs)
-
-
-def simulate_ic(adj, initial, rng):
-    """One cascade run over lazily sampled out-edges.
-
-    Forward exploration from the initial set; each out-edge of a node is
-    flipped exactly once, when its source first activates.
-    """
-    active = set(int(v) for v in initial)
-    frontier = list(active)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w, p in adj[v]:
-                if w not in active and rng.random() < p:
-                    active.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return active
 
 
 def _batch_spread(instance, init_probs, samples, rng):
@@ -153,13 +120,7 @@ def _split_edges(instance):
     return det, stoch
 
 
-@lru_cache(maxsize=256)
-def _exact_parts(instance):
-    det, stoch = _split_edges(instance)
-    return tuple(tuple(t) for t in det), tuple(stoch)
-
-
-def _reach(det, extra, seeds, m):
+def _reach(det, extra, seeds):
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
@@ -192,7 +153,7 @@ def exact_ic_spread(instance, Z):
 
 @lru_cache(maxsize=1_000_000)
 def _exact_ic_cached(instance, zset):
-    det, stoch = _exact_parts(instance)
+    det, stoch = _split_edges(instance)
     ne = len(stoch)
     if ne > EXACT_EDGE_LIMIT:
         raise ValueError(
@@ -211,7 +172,7 @@ def _exact_ic_cached(instance, zset):
                 extra.setdefault(u, []).append(w)
             else:
                 weight *= 1.0 - p
-        total += weight * len(_reach(det, extra, zset, instance.n_consumers))
+        total += weight * len(_reach(det, extra, zset))
     return total
 
 
@@ -278,60 +239,3 @@ def exact_rho_bar(instance, zbar):
     for subset, weight in _enumerate_products(probs):
         total += weight * exact_ic_spread(instance, subset)
     return total
-
-
-def _evaluator(oracle):
-    return oracle.evaluate if hasattr(oracle, "evaluate") else oracle
-
-
-def generalized_sigma(instance, X, Y, oracle, samples=None, rng=None, stream_path=None):
-    """Monte Carlo estimate of E[rho(Z)] over direct-activation draws Z.
-
-    Works for any spread oracle rho over consumer subsets; with the cascade
-    oracle this estimates the same quantity as estimate_sigma.
-    """
-    samples = samples or default_sample_count()
-    rng = rng if rng is not None else stream(0, "generalized")
-    evaluate = _evaluator(oracle)
-    xb = indicator(X, instance.n_providers)
-    yb = indicator(Y, instance.n_consumers)
-    vals = np.empty(samples)
-    for t in range(samples):
-        Z = sample_initial_set(xb, yb, instance.bipartite, rng)
-        vals[t] = float(evaluate(frozenset(int(v) for v in Z)))
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return SpreadEstimate(mean=mean, std_error=se, samples=samples, stream_path=stream_path)
-
-
-class _BackgroundOracle:
-    """Spread oracle averaged over independent background activation draws."""
-
-    def __init__(self, evaluate, background, samples_inner, rng):
-        self._evaluate = evaluate
-        self._background = background
-        self._samples = samples_inner
-        self._rng = rng
-
-    def evaluate(self, Z):
-        base = frozenset(int(v) for v in Z)
-        m = self._background.size
-        total = 0.0
-        # fresh draws on every call: estimates are noisy but unbiased
-        for _ in range(self._samples):
-            extra = np.flatnonzero(self._rng.random(m) < self._background)
-            total += float(self._evaluate(base.union(int(v) for v in extra)))
-        return total / self._samples
-
-
-def with_background(oracle, b, samples_inner, rng=None):
-    """Wrap a spread oracle so consumers also light up on their own.
-
-    The wrapped oracle estimates rho'(Z) = E over background sets Z0 drawn
-    independently per consumer from b of rho(Z united with Z0).
-    """
-    b = np.asarray(b, dtype=float).ravel()
-    if (b < 0).any() or (b > 1).any():
-        raise ValueError("background probabilities must lie in [0,1]")
-    rng = rng if rng is not None else stream(0, "background")
-    return _BackgroundOracle(_evaluator(oracle), b, samples_inner, rng)

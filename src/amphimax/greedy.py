@@ -21,11 +21,9 @@ def greedy_max(oracle, ground, budget):
     ordering, and with an exact oracle the outcome equals plain greedy.
 
     The oracle maps a tuple of element indices to an object with a `.mean`
-    (a SpreadEstimate works); it may also be an object with an `evaluate`
-    method. budget == |ground| short-circuits to the whole ground set with no
-    oracle calls.
+    (a SpreadEstimate works). budget == |ground| short-circuits to the whole
+    ground set with no oracle calls.
     """
-    evaluate = oracle.evaluate if hasattr(oracle, "evaluate") else oracle
     elements = sorted(int(e) for e in ground)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -36,11 +34,11 @@ def greedy_max(oracle, ground, budget):
 
     chosen = []
     trace = GreedyTrace()
-    current_value = evaluate(()).mean
+    current_value = oracle(()).mean
     trace.evaluations = 1
     heap = []
     for e in elements:
-        est = evaluate((e,))
+        est = oracle((e,))
         trace.evaluations += 1
         gain = est.mean - current_value
         heapq.heappush(heap, (-max(gain, 0.0), e, 1, est.mean))
@@ -54,7 +52,7 @@ def greedy_max(oracle, ground, budget):
                 trace.picks.append((e, value - current_value))
                 current_value = value
                 break
-            est = evaluate(tuple(sorted(chosen + [e])))
+            est = oracle(tuple(sorted(chosen + [e])))
             trace.evaluations += 1
             gain = est.mean - current_value
             heapq.heappush(heap, (-max(gain, 0.0), e, step, est.mean))

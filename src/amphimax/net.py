@@ -10,7 +10,6 @@ from .instance import min_bit_precision
 
 DET_TOL = 1e-10
 DEDUP_TOL = 1e-12
-MEMBERSHIP_TOL = 1e-7
 NOISE_TOL = 1e-9
 DEFAULT_CELL_CAP = 10**8
 
@@ -29,29 +28,13 @@ class NetSizeError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Grid:
-    """Value ladder {0, 2^-lam, 2^-lam*(1+eps), ...} ending at the first rung >= n."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
 class EpsilonNet:
     """Finite point set approximating every reachable x^T M coordinate-wise.
 
-    Points are stored canonically sorted (lexicographic by coordinates), each
-    as a full vector in `points` and as coefficients against the rank basis
-    in `coeffs`. `one_sided` tells which bracketing guarantee holds: weak
-    nets bracket within (1+eps) on both sides, one-sided nets satisfy
-    s_j <= (x^T M)_j <= (1+eps) s_j.
+    Points are stored canonically sorted (lexicographic by coordinates) as
+    full vectors in `points`. `one_sided` tells which bracketing guarantee
+    holds: weak nets bracket within (1+eps) on both sides, one-sided nets
+    satisfy s_j <= (x^T M)_j <= (1+eps) s_j.
     """
 
     points: np.ndarray
@@ -59,22 +42,18 @@ class EpsilonNet:
     one_sided: bool
     rank: int
     grid_size: int
-    coeffs: np.ndarray
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        cfs = np.array(self.coeffs, dtype=float)
-        cfs.setflags(write=False)
-        object.__setattr__(self, "coeffs", cfs)
 
     def __len__(self):
         return int(self.points.shape[0])
 
 
 def build_grid(bit_precision, epsilon, n):
-    """Geometric grid of candidate coordinate values.
+    """Geometric grid of candidate coordinate values, as a read-only array.
 
     Starts at 0, then 2**-bit_precision, multiplying by (1+epsilon) until the
     first value >= n, which is the largest any coordinate of x^T M can reach.
@@ -93,7 +72,8 @@ def build_grid(bit_precision, epsilon, n):
     while k > 0 and base * (1.0 + epsilon) ** (k - 1) >= n:
         k -= 1
     values = np.concatenate(([0.0], base * (1.0 + epsilon) ** np.arange(k + 1)))
-    return Grid(values=values)
+    values.setflags(write=False)
+    return values
 
 
 def independent_column_tuples(basis):
@@ -111,17 +91,16 @@ def independent_column_tuples(basis):
             yield combo
 
 
-def _dedup_sorted(points, coeffs):
+def _dedup_sorted(points):
     if points.shape[0] <= 1:
-        return points, coeffs
+        return points
     close = np.abs(np.diff(points, axis=0)).max(axis=1) < DEDUP_TOL
     keep = np.concatenate(([True], ~close))
-    return points[keep], coeffs[keep]
+    return points[keep]
 
 
-def _canonical(points, coeffs):
-    order = np.lexsort(points.T[::-1])
-    return _dedup_sorted(points[order], coeffs[order])
+def _canonical(points):
+    return _dedup_sorted(points[np.lexsort(points.T[::-1])])
 
 
 def build_weak_net(M, basis, epsilon, bit_precision=None, cell_cap=DEFAULT_CELL_CAP):
@@ -147,18 +126,15 @@ def build_weak_net(M, basis, epsilon, bit_precision=None, cell_cap=DEFAULT_CELL_
             one_sided=False,
             rank=0,
             grid_size=len(grid),
-            coeffs=np.zeros((1, 0)),
         )
     rows = basis.basis_rows
     tuples = list(independent_column_tuples(basis))
-    gvals = grid.values
-    assignments = np.array(list(itertools.product(gvals, repeat=r)), dtype=float)
+    assignments = np.array(list(itertools.product(grid, repeat=r)), dtype=float)
     if len(tuples) * assignments.shape[0] * m > cell_cap:
         bound = math.comb(m, r) * len(grid) ** r
         raise NetSizeError(len(tuples) * assignments.shape[0], bound, cell_cap // m)
     limit = n * (1.0 + epsilon) + NOISE_TOL
     chunks = []
-    coeff_chunks = []
     for combo in tuples:
         block = rows[:, combo]
         z = np.linalg.solve(block.T, assignments.T).T
@@ -168,17 +144,13 @@ def build_weak_net(M, basis, epsilon, bit_precision=None, cell_cap=DEFAULT_CELL_
         pts = pts[keep]
         pts[pts < 0.0] = 0.0
         chunks.append(pts)
-        coeff_chunks.append(z[keep])
     points = np.vstack(chunks) if chunks else np.zeros((0, m))
-    coeffs = np.vstack(coeff_chunks) if coeff_chunks else np.zeros((0, r))
-    points, coeffs = _canonical(points, coeffs)
     return EpsilonNet(
-        points=points,
+        points=_canonical(points),
         epsilon=epsilon,
         one_sided=False,
         rank=r,
         grid_size=len(grid),
-        coeffs=coeffs,
     )
 
 
@@ -193,7 +165,6 @@ def build_net(M, basis, epsilon, bit_precision=None, cell_cap=DEFAULT_CELL_CAP):
     root = math.sqrt(1.0 + epsilon)
     weak = build_weak_net(M, basis, root - 1.0, bit_precision, cell_cap)
     points = weak.points / root
-    coeffs = weak.coeffs / root
     keep = (points <= n + NOISE_TOL).all(axis=1)
     return EpsilonNet(
         points=points[keep],
@@ -201,7 +172,6 @@ def build_net(M, basis, epsilon, bit_precision=None, cell_cap=DEFAULT_CELL_CAP):
         one_sided=True,
         rank=weak.rank,
         grid_size=weak.grid_size,
-        coeffs=coeffs[keep],
     )
 
 
@@ -228,12 +198,3 @@ def covering_point(net, target, zero_tol=DEDUP_TOL, slack=1e-12):
         ok &= (pts[:, ~pos] <= zero_tol).all(axis=1)
     hits = np.flatnonzero(ok)
     return int(hits[0]) if hits.size else -1
-
-
-def membership_residuals(net, basis):
-    """Max-abs residual of every net point against the span of the basis rows."""
-    if basis.rank == 0:
-        return np.abs(net.points).max(axis=1) if len(net) else np.zeros(0)
-    sol, *_ = np.linalg.lstsq(basis.basis_rows.T, net.points.T, rcond=None)
-    resid = net.points - (sol.T @ basis.basis_rows)
-    return np.abs(resid).max(axis=1)

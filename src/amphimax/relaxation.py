@@ -2,7 +2,6 @@
 
 import numpy as np
 
-LOGSPACE_CELLS = 10**6
 NEG_COORD_TOL = 1e-9
 
 
@@ -35,16 +34,9 @@ def initial_activation(x, y, M):
     n, m = M.shape
     xb = _as_bits(x, n, "x")
     yb = _as_bits(y, m, "y")
-    chosen = np.flatnonzero(xb)
-    if chosen.size == 0:
-        return np.zeros(m)
-    sub = M[chosen]
-    if M.size > LOGSPACE_CELLS:
-        # big instances: sum logs instead of multiplying many factors
-        with np.errstate(divide="ignore"):
-            miss = np.exp(np.log1p(-sub).sum(axis=0))
-    else:
-        miss = np.prod(1.0 - sub, axis=0)
+    # factors lie in [0,1], so the product cannot overflow, and underflow
+    # to 0 still gives the right 1 - miss; no chosen provider gives miss = 1
+    miss = np.prod(1.0 - M[np.flatnonzero(xb)], axis=0)
     return yb * (1.0 - miss)
 
 

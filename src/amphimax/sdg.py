@@ -18,15 +18,16 @@ from .net import NetSizeError, build_net
 
 E_COMPLEMENT = 1.0 - 1.0 / math.e
 BRUTE_FORCE_CAP = 10_000
+MAX_RANK = 6
+# sample count multiplier for the per-net-point re-estimates and the reported value
+FINAL_FACTOR = 4
 
 
 @dataclass(frozen=True)
 class SdgConfig:
     """Solver configuration.
 
-    samples_per_eval overrides the automatic Hoeffding sizing when set;
-    final_factor scales the sample count of the final per-net-point
-    re-estimate used to pick the winner.
+    samples_per_eval overrides the automatic Hoeffding sizing when set.
     """
 
     epsilon: float
@@ -34,8 +35,6 @@ class SdgConfig:
     samples_per_eval: int = None
     master_seed: int = 0
     max_net_points: int = 200_000
-    max_rank: int = 6
-    final_factor: int = 4
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -48,12 +47,17 @@ class SdgConfig:
 
 @dataclass(frozen=True)
 class SeedSolution:
-    """Chosen provider and consumer sets with the winning estimate."""
+    """Chosen provider and consumer sets with a fresh estimate of their spread.
+
+    net_point_index is the net point whose greedy run produced the sets; rank
+    is the numerical rank of the bipartite matrix.
+    """
 
     providers: tuple
     consumers: tuple
     value: SpreadEstimate
     net_point_index: int
+    rank: int
 
 
 def approximation_ratio(epsilon):
@@ -87,14 +91,16 @@ def solve(instance, config):
     Builds the one-sided net, then for every net point greedily picks
     consumers against the surrogate objective and providers against the real
     one, re-estimates each candidate pair at a higher sample count, and
-    returns the best.
+    returns the best. The winner's value is estimated once more on its own
+    stream: the maximum of many noisy re-estimates is biased upward, a fresh
+    draw is not.
     """
     violations = validate(instance)
     if violations:
         raise InstanceValidationError(violations)
     basis = numerical_rank(instance.bipartite)
-    if basis.rank > config.max_rank:
-        raise ValueError(f"matrix rank {basis.rank} exceeds configured max {config.max_rank}")
+    if basis.rank > MAX_RANK:
+        raise ValueError(f"matrix rank {basis.rank} exceeds the supported max {MAX_RANK}")
     net = build_net(instance.bipartite, basis, config.epsilon, instance.bit_precision)
     count = len(net)
     if count > config.max_net_points:
@@ -127,7 +133,7 @@ def solve(instance, config):
             instance,
             x_set,
             y_set,
-            config.final_factor * samples,
+            FINAL_FACTOR * samples,
             stream(*final_path),
             stream_path=final_path,
         )
@@ -145,12 +151,17 @@ def solve(instance, config):
         if best is None or value.mean > best[3].mean:
             best = (i, x_set, y_set, value)
 
-    i, x_set, y_set, value = best
+    i, x_set, y_set, _ = best
+    report_path = (seed, "report")
+    value = estimate_sigma(
+        instance, x_set, y_set, FINAL_FACTOR * samples, stream(*report_path), stream_path=report_path
+    )
     solution = SeedSolution(
         providers=tuple(sorted(x_set)),
         consumers=tuple(sorted(y_set)),
         value=value,
         net_point_index=i,
+        rank=basis.rank,
     )
     return solution, report
 

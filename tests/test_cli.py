@@ -42,9 +42,14 @@ def test_ratio_out_of_range_is_runtime_error():
 
 
 def test_usage_errors_exit_2(instance_file):
+    path, _ = instance_file
     assert run_cli("bogus").returncode == 2
     assert run_cli("solve", "--epsilon", "0.5").returncode == 2  # missing --instance
     assert run_cli().returncode == 2
+    # no random draws in these, so they take no seed
+    assert run_cli("exact", "--instance", str(path), "--x", "0", "--y", "0", "--seed", "1").returncode == 2
+    assert run_cli("net", "--instance", str(path), "--epsilon", "0.5", "--seed", "1").returncode == 2
+    assert run_cli("solve", "--instance", str(path), "--epsilon", "0.8", "--threads", "2").returncode == 2
 
 
 def test_missing_file_exits_1():
@@ -145,6 +150,7 @@ def test_solve_payload_out_and_manifest(instance_file, tmp_path):
     assert manifest["master_seed"] == 4
     assert manifest["instance_checksum"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert manifest["elapsed_ms"] >= 0
+    assert "threads" not in manifest and "threads" not in manifest["config"]
     rows = json.loads(report.read_text())
     assert len(rows) == doc["net_size"]
     assert rows[0]["net_point_index"] == 0

@@ -6,7 +6,6 @@ import pytest
 
 from amphimax._rng import stream
 from amphimax.diffusion import (
-    adjacency,
     default_sample_count,
     estimate_ic_spread,
     estimate_sigma,
@@ -14,10 +13,6 @@ from amphimax.diffusion import (
     exact_ic_spread,
     exact_rho_bar,
     exact_sigma,
-    generalized_sigma,
-    sample_initial_set,
-    simulate_ic,
-    with_background,
 )
 from amphimax.generators import gen_rank_r
 from amphimax.instance import AimInstance
@@ -27,6 +22,40 @@ from amphimax.relaxation import indicator, initial_activation
 def make_instance(M, edges=(), b1=1, b2=1, lam=20):
     M = np.asarray(M, dtype=float)
     return AimInstance(M.shape[0], M.shape[1], M, tuple(edges), b1, b2, lam)
+
+
+def adjacency(instance):
+    """Out-edge lists [(target, probability), ...] indexed by source consumer."""
+    out = [[] for _ in range(instance.n_consumers)]
+    for u, w, p in instance.social_edges:
+        out[u].append((w, p))
+    return out
+
+
+def sample_initial_set(x, y, M, rng):
+    """One draw of the directly activated consumer set."""
+    probs = initial_activation(x, y, M)
+    return np.flatnonzero(rng.random(probs.size) < probs)
+
+
+def simulate_ic(adj, initial, rng):
+    """Reference cascade run over lazily sampled out-edges.
+
+    Forward exploration from the initial set; each out-edge of a node is
+    flipped exactly once, when its source first activates. The vectorized
+    estimators flip every edge up front instead and are checked against this.
+    """
+    active = set(int(v) for v in initial)
+    frontier = list(active)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w, p in adj[v]:
+                if w not in active and rng.random() < p:
+                    active.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return active
 
 
 def spread_by_full_enumeration(instance, Z):
@@ -253,60 +282,6 @@ def test_estimate_sigma_hat_matches_exact_extension():
 def test_estimate_ic_spread_agrees_with_exact():
     est = estimate_ic_spread(HALF_PAIR, (0,), samples=8000, rng=stream(8, "t"))
     assert abs(est.mean - exact_ic_spread(HALF_PAIR, (0,))) <= 3 * est.std_error
-
-
-def test_generalized_sigma_cardinality_oracle():
-    inst = gen_rank_r(3, 4, 1, seed=21, factor_low=0.3)
-    X, Y = (0, 1), (1, 2, 3)
-    f = initial_activation(indicator(X, 3), indicator(Y, 4), inst.bipartite)
-    est = generalized_sigma(inst, X, Y, lambda Z: len(Z), samples=100_000, rng=stream(9, "t"))
-    assert abs(est.mean - f.sum()) / f.sum() < 1e-2
-
-
-def test_generalized_sigma_constant_oracle():
-    est = generalized_sigma(HALF_PAIR, (0,), (0, 1), lambda Z: 2.5, samples=50, rng=stream(0, "t"))
-    assert est.mean == 2.5 and est.std_error == 0.0
-
-
-def test_generalized_sigma_with_exact_cascade_oracle():
-    est = generalized_sigma(
-        HALF_PAIR,
-        (0,),
-        (0, 1),
-        lambda Z: exact_ic_spread(HALF_PAIR, Z),
-        samples=4000,
-        rng=stream(11, "t"),
-    )
-    want = exact_sigma(HALF_PAIR, (0,), (0, 1))
-    assert abs(est.mean - want) <= 3 * max(est.std_error, 1e-9)
-
-
-def test_with_background_zero_is_identity():
-    oracle = with_background(lambda Z: exact_ic_spread(HALF_PAIR, Z), np.zeros(2), 16)
-    assert oracle.evaluate({0}) == exact_ic_spread(HALF_PAIR, {0})
-
-
-def test_with_background_all_ones_is_constant():
-    oracle = with_background(lambda Z: exact_ic_spread(HALF_PAIR, Z), np.ones(2), 8)
-    full = exact_ic_spread(HALF_PAIR, (0, 1))
-    assert oracle.evaluate(()) == full
-    assert oracle.evaluate({1}) == full
-
-
-def test_with_background_half_matches_exhaustive():
-    b = np.array([0.5, 0.5])
-    # exact rho'(empty) enumerates background sets directly
-    want = exact_rho_bar(HALF_PAIR, b)
-    inner = 4000
-    oracle = with_background(
-        lambda Z: exact_ic_spread(HALF_PAIR, Z), b, inner, rng=stream(13, "t")
-    )
-    draws = [oracle.evaluate(()) for _ in range(3)]
-    se = 2.0 / math.sqrt(inner)  # spread bounded by 2, crude but sufficient
-    for d in draws:
-        assert abs(d - want) <= 3 * se
-    with pytest.raises(ValueError, match="probabilities"):
-        with_background(lambda Z: 0.0, np.array([1.5]), 4)
 
 
 def test_estimates_carry_stream_path():

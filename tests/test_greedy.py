@@ -150,12 +150,3 @@ def test_trace_shape():
     # recorded gains telescope to the final value
     total = sum(g for _, g in trace.picks)
     assert abs(total - fn(frozenset(picks))) < 1e-12
-
-
-def test_accepts_evaluate_method_objects():
-    class Oracle:
-        def evaluate(self, S):
-            return Value(float(sum(S)))
-
-    picks, _ = greedy_max(Oracle(), range(5), 2)
-    assert picks == [4, 3]

@@ -8,7 +8,7 @@ from amphimax.generators import gen_rank_r
 from amphimax.instance import AimInstance, InstanceValidationError
 from amphimax.net import NetSizeError, build_net
 from amphimax.instance import numerical_rank
-from amphimax.sdg import SdgConfig, approximation_ratio, brute_force_opt, solve
+from amphimax.sdg import FINAL_FACTOR, MAX_RANK, SdgConfig, approximation_ratio, brute_force_opt, solve
 
 
 def make_instance(M, edges=(), b1=1, b2=1, lam=20):
@@ -73,9 +73,9 @@ def test_solve_rejects_invalid_instance():
 
 
 def test_solve_rejects_excess_rank():
-    inst = make_instance(np.eye(3) * 0.5 + 0.25, lam=2)
-    with pytest.raises(ValueError, match="rank 3 exceeds configured max 2"):
-        solve(inst, SdgConfig(epsilon=0.5, samples_per_eval=8, max_rank=2))
+    inst = make_instance(np.eye(MAX_RANK + 1) * 0.5, lam=1)
+    with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} exceeds the supported max {MAX_RANK}"):
+        solve(inst, SdgConfig(epsilon=0.5, samples_per_eval=8))
 
 
 def test_solve_net_cap():
@@ -110,6 +110,22 @@ def test_solve_budgets_and_report_shape():
         assert row["evaluations_y"] <= m * b2 + m + 1
         assert row["evaluations_x"] <= n * b1 + n + 1
     assert sol.net_point_index == max(range(len(report)), key=lambda i: (report[i]["value"], -i))
+    assert sol.value.samples == FINAL_FACTOR * 60 and sol.value.stream_path == (5, "report")
+    assert sol.rank == 1
+
+
+def test_solve_reports_a_fresh_unbiased_value():
+    # the winner is the maximum of many noisy per-net-point estimates, so its
+    # own estimate sits above the truth; the reported value is a fresh draw
+    inst = gen_rank_r(4, 3, 1, social_edge_count=2, seed=3)
+    gaps = []
+    for seed in range(4):
+        sol, report = solve(inst, SdgConfig(epsilon=0.5, master_seed=seed))
+        winner = report[sol.net_point_index]
+        assert (winner["providers"], winner["consumers"]) == (list(sol.providers), list(sol.consumers))
+        exact = exact_sigma(inst, sol.providers, sol.consumers)
+        gaps.append((sol.value.mean - exact) / sol.value.std_error)
+    assert sum(gaps) / len(gaps) < 1.0
 
 
 def test_solve_is_deterministic():
