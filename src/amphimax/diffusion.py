@@ -13,6 +13,8 @@ from .relaxation import indicator, initial_activation, net_relaxation
 EXACT_EDGE_LIMIT = 22
 DEFAULT_MC_EPS = 0.05
 DEFAULT_MC_DELTA = 0.01
+# bytes of uniform floats drawn at once by the cascade kernel (at least 8 rows)
+DRAW_BUDGET = 1 << 24
 
 
 def default_sample_count(mc_eps=DEFAULT_MC_EPS, delta=DEFAULT_MC_DELTA):
@@ -40,14 +42,39 @@ class SpreadEstimate:
 
 @lru_cache(maxsize=256)
 def _edge_arrays(instance):
+    """Social edges grouped by target.
+
+    Returns (src, prob, order, heads, cuts): `prob` in instance order, `order`
+    the stable permutation that sorts edges by target, `src` the sources in
+    that order, and `heads[k]` the target whose edges start at row `cuts[k]`.
+    """
     edges = instance.social_edges
-    src = np.array([e[0] for e in edges], dtype=np.intp)
     dst = np.array([e[1] for e in edges], dtype=np.intp)
     prob = np.array([e[2] for e in edges], dtype=float)
-    inc = np.zeros((len(edges), instance.n_consumers), dtype=np.float32)
-    if len(edges):
-        inc[np.arange(len(edges)), dst] = 1.0
-    return src, dst, prob, inc
+    order = np.argsort(dst, kind="stable")
+    src = np.array([e[0] for e in edges], dtype=np.intp)[order]
+    heads, cuts = np.unique(dst[order], return_index=True)
+    return src, prob, order, heads, cuts
+
+
+def _packed_draws(rng, samples, probs, order=None):
+    """Bernoulli(probs) for `samples` runs, packed 8 runs per byte.
+
+    Same draws as `rng.random((samples, probs.size)) < probs`, taken in row
+    chunks that keep the floats under DRAW_BUDGET bytes (consecutive calls
+    continue one stream). Row k of the (probs.size, ceil(samples/8)) result
+    is column order[k] of that matrix; padding bits past `samples` are 0.
+    """
+    width = probs.size
+    out = np.empty((width, (samples + 7) // 8), dtype=np.uint8)
+    rows = max(8, DRAW_BUDGET // (8 * width) // 8 * 8)
+    for start in range(0, samples, rows):
+        bits = rng.random((min(rows, samples - start), width)) < probs
+        if order is not None:
+            bits = bits[:, order]
+        chunk = np.packbits(bits.T, axis=1)
+        out[:, start // 8 : start // 8 + chunk.shape[1]] = chunk
+    return out
 
 
 def _batch_spread(instance, init_probs, samples, rng):
@@ -57,20 +84,26 @@ def _batch_spread(instance, init_probs, samples, rng):
     every social edge once per run and propagates over live edges; that
     matches the flip-on-first-activation process in distribution, since an
     edge's coin only matters the first time its source activates.
+
+    Runs are bit-parallel: each consumer and each edge holds one bit per run,
+    so memory is O((m + E) * samples / 8) plus one bounded draw chunk. Each
+    round only the newly activated frontier pushes along live edges.
     """
-    m = instance.n_consumers
-    active = rng.random((samples, m)) < init_probs
-    src, dst, prob, inc = _edge_arrays(instance)
+    active = _packed_draws(rng, samples, init_probs)
+    src, prob, order, heads, cuts = _edge_arrays(instance)
     if src.size:
-        live = rng.random((samples, src.size)) < prob
+        live = _packed_draws(rng, samples, prob, order)
+        frontier = active.copy()
+        hit = np.zeros_like(active)
         while True:
-            push = active[:, src] & live
-            counts = push.astype(np.float32) @ inc
-            new = (counts > 0.0) & ~active
-            if not new.any():
+            push = frontier[src]
+            push &= live
+            hit[heads] = np.bitwise_or.reduceat(push, cuts, axis=0)
+            np.bitwise_and(hit, ~active, out=frontier)
+            if not frontier.any():
                 break
-            active |= new
-    totals = active.sum(axis=1).astype(float)
+            active |= frontier
+    totals = np.unpackbits(active, axis=1, count=samples).sum(axis=0).astype(float)
     mean = float(totals.mean())
     std_error = float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, std_error

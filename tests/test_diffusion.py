@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from amphimax import diffusion
 from amphimax._rng import stream
 from amphimax.diffusion import (
     default_sample_count,
@@ -58,6 +60,35 @@ def simulate_ic(adj, initial, rng):
     return active
 
 
+def dense_batch_spread(instance, init_probs, samples, rng):
+    """Reference kernel: boolean runs x consumers, one dense matmul per round.
+
+    Draws seeds then live edges exactly as the bit-packed kernel does, and
+    pushes from every active consumer through an E x m incidence array.
+    """
+    edges = instance.social_edges
+    src = np.array([e[0] for e in edges], dtype=np.intp)
+    dst = np.array([e[1] for e in edges], dtype=np.intp)
+    prob = np.array([e[2] for e in edges], dtype=float)
+    inc = np.zeros((len(edges), instance.n_consumers), dtype=np.float32)
+    if len(edges):
+        inc[np.arange(len(edges)), dst] = 1.0
+    active = rng.random((samples, instance.n_consumers)) < init_probs
+    if src.size:
+        live = rng.random((samples, src.size)) < prob
+        while True:
+            push = active[:, src] & live
+            counts = push.astype(np.float32) @ inc
+            new = (counts > 0.0) & ~active
+            if not new.any():
+                break
+            active |= new
+    totals = active.sum(axis=1).astype(float)
+    mean = float(totals.mean())
+    std_error = float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return mean, std_error
+
+
 def spread_by_full_enumeration(instance, Z):
     """Independent oracle: enumerate live/blocked for every edge, p=1 included."""
     edges = instance.social_edges
@@ -84,6 +115,26 @@ def spread_by_full_enumeration(instance, Z):
 
 
 HALF_PAIR = make_instance([[0.5, 0.5]], edges=[(0, 1, 0.5)], lam=1)
+
+KERNEL_CASES = {
+    "no_edges": make_instance(np.full((1, 4), 0.5), lam=1),
+    "certain_chain": make_instance(np.full((1, 4), 0.5), edges=[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], lam=1),
+    "cycle": make_instance(np.full((1, 4), 0.5), edges=[(0, 1, 0.7), (1, 2, 0.6), (2, 3, 0.8), (3, 0, 0.9)], lam=1),
+    # consumer 4 has four in-edges; consumer 5 has none and only points out
+    "fan_in": make_instance(
+        np.full((1, 6), 0.5),
+        edges=[(5, 0, 0.5), (0, 4, 0.3), (1, 4, 0.2), (2, 4, 1.0), (3, 4, 0.4), (4, 1, 0.5)],
+        lam=1,
+    ),
+    "rank_r": gen_rank_r(3, 12, 2, social_edge_count=40, seed=4),
+}
+
+
+def _init_probs(m, seed):
+    rng = np.random.default_rng([seed, 99])
+    init = rng.random(m) * (rng.random(m) < 0.5)
+    init[rng.random(m) < 0.2] = 1.0
+    return init
 
 
 def test_default_sample_count():
@@ -225,6 +276,39 @@ def test_sample_initial_set():
     assert abs(hits / 20000 - 0.5) <= 4 * math.sqrt(0.25 / 20000)
 
 
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("samples", [1, 7, 8, 9, 1001])
+def test_packed_kernel_equals_dense_reference(case, samples):
+    inst = KERNEL_CASES[case]
+    for seed in range(3):
+        init = _init_probs(inst.n_consumers, seed)
+        got = diffusion._batch_spread(inst, init, samples, np.random.default_rng(seed))
+        want = dense_batch_spread(inst, init, samples, np.random.default_rng(seed))
+        assert got == want
+
+
+class CountingRng:
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def random(self, shape):
+        self.calls += 1
+        return self.rng.random(shape)
+
+
+@pytest.mark.parametrize("budget", [1, 1000])
+def test_packed_kernel_chunked_draws_equal_one_draw(monkeypatch, budget):
+    # rows per chunk fall to 8 (budget 1) or 16 (budget 1000 over 6 columns),
+    # so 1001 runs take many draw calls, the last one partial
+    monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
+    inst = KERNEL_CASES["fan_in"]
+    init = _init_probs(inst.n_consumers, 0)
+    rng = CountingRng(5)
+    got = diffusion._batch_spread(inst, init, 1001, rng)
+    assert rng.calls >= 6
+    assert got == dense_batch_spread(inst, init, 1001, np.random.default_rng(5))
+
+
 def test_estimate_sigma_empty_x():
     est = estimate_sigma(HALF_PAIR, (), (0, 1), samples=64, rng=stream(0, "t"))
     assert est.mean == 0.0 and est.std_error == 0.0 and est.samples == 64
@@ -287,3 +371,17 @@ def test_estimate_ic_spread_agrees_with_exact():
 def test_estimates_carry_stream_path():
     est = estimate_sigma(HALF_PAIR, (0,), (0,), samples=16, rng=stream(0, "t"), stream_path=(0, "t"))
     assert est.stream_path == (0, "t")
+
+
+def test_estimate_memory_is_bounded_on_a_large_graph():
+    # m=3,000, E=20,000: a dense E x m float32 incidence array alone would be
+    # 229 MiB; the packed kernel holds (m + E) x 1,000 bits plus one draw chunk
+    inst = gen_rank_r(20, 3000, 2, social_edge_count=20000, seed=3)
+    tracemalloc.start()
+    try:
+        est = estimate_sigma(inst, (0, 1), range(0, 3000, 10), samples=1000, rng=stream(0, "big"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 1000
+    assert peak < 64 * 2**20

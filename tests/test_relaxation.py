@@ -53,6 +53,31 @@ def test_activation_matches_reference():
         assert np.abs(got - reference_activation(x, y, M)).max() < 1e-12
 
 
+def test_activation_fractional_x_follows_its_formula():
+    # y_j * (1 - prod_i (1 - x_i M_ij)): a half-chosen certain provider gives 0.5
+    assert initial_activation([0.5], [1.0], [[1.0]])[0] == 0.5
+    rng = np.random.default_rng(8)
+    M = rng.random((3, 4))
+    x = np.array([0.25, 0.0, 0.7])
+    y = np.array([1.0, 0.0, 1.0, 1.0])
+    want = y * (1.0 - np.array([math.prod(1.0 - x[i] * M[i, j] for i in range(3)) for j in range(4)]))
+    assert np.abs(initial_activation(x, y, M) - want).max() < 1e-15
+
+
+def test_activation_on_0_1_vectors_is_the_product_over_chosen_rows():
+    # bit for bit what the solver's estimates were computed with: a product
+    # over the chosen rows only
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        n, m = rng.integers(1, 9), rng.integers(1, 9)
+        M = rng.random((n, m)) * (rng.random((n, m)) < 0.8)
+        M[rng.random((n, m)) < 0.1] = 1.0
+        x = (rng.random(n) < 0.5).astype(float)
+        y = (rng.random(m) < 0.5).astype(float)
+        want = y * (1.0 - np.prod(1.0 - M[np.flatnonzero(x)], axis=0))
+        assert np.array_equal(initial_activation(x, y, M), want)
+
+
 def test_activation_monte_carlo_cross_check():
     rng = np.random.default_rng(17)
     M = rng.random((3, 4)) * 0.8
