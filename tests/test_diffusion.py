@@ -296,16 +296,16 @@ class CountingRng:
         return self.rng.random(shape)
 
 
-@pytest.mark.parametrize("budget", [1, 1000])
-def test_packed_kernel_chunked_draws_equal_one_draw(monkeypatch, budget):
-    # rows per chunk fall to 8 (budget 1) or 16 (budget 1000 over 6 columns),
-    # so 1001 runs take many draw calls, the last one partial
+@pytest.mark.parametrize("budget, rows", [(1, 8), (1000, 16)])
+def test_packed_kernel_chunked_draws_equal_one_draw(monkeypatch, budget, rows):
+    # 6 consumers and 6 edges: chunks of `rows` runs for seeds, then for
+    # edges, the last chunk of each partial
     monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
     inst = KERNEL_CASES["fan_in"]
     init = _init_probs(inst.n_consumers, 0)
     rng = CountingRng(5)
     got = diffusion._batch_spread(inst, init, 1001, rng)
-    assert rng.calls >= 6
+    assert rng.calls == 2 * math.ceil(1001 / rows)
     assert got == dense_batch_spread(inst, init, 1001, np.random.default_rng(5))
 
 
