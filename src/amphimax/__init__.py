@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 from .diffusion import (
     SpreadEstimate,
     default_sample_count,
-    estimate_ic_spread,
     estimate_sigma,
     estimate_sigma_hat,
-    exact_ic_spread,
     exact_rho_bar,
     exact_sigma,
 )
@@ -62,10 +60,8 @@ __all__ = [
     "concave_relaxation",
     "covering_point",
     "default_sample_count",
-    "estimate_ic_spread",
     "estimate_sigma",
     "estimate_sigma_hat",
-    "exact_ic_spread",
     "exact_rho_bar",
     "exact_sigma",
     "gen_classic_im",

@@ -8,7 +8,7 @@ import time
 
 from . import __version__
 from ._rng import stream
-from .diffusion import default_sample_count, estimate_sigma, exact_sigma
+from .diffusion import EXACT_EDGE_LIMIT, default_sample_count, estimate_sigma, exact_sigma
 from .instance import (
     InstanceFormatError,
     InstanceValidationError,
@@ -193,7 +193,8 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=default_sample_count())
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("exact", help="exact spread on small instances")
+    text = f"exact spread; at most {EXACT_EDGE_LIMIT} social edges with probability below 1"
+    p = sub.add_parser("exact", help=text, description=text)
     common(p, seed=False)
     p.add_argument("--x", default="")
     p.add_argument("--y", default="")

@@ -1,6 +1,5 @@
 """Cascade sampling, spread estimation, and exact oracles for small instances."""
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,6 +76,25 @@ def _packed_draws(rng, samples, probs, order=None):
     return out
 
 
+def _propagate(active, live, src, heads, cuts):
+    """Close the packed active sets under live edges, in place.
+
+    `active` holds one row per consumer and `live` one row per edge in target
+    order (see _edge_arrays), one bit per run. Each round only the newly
+    activated frontier pushes along live edges.
+    """
+    frontier = active.copy()
+    hit = np.zeros_like(active)
+    while True:
+        push = frontier[src]
+        push &= live
+        hit[heads] = np.bitwise_or.reduceat(push, cuts, axis=0)
+        np.bitwise_and(hit, ~active, out=frontier)
+        if not frontier.any():
+            return
+        active |= frontier
+
+
 def _batch_spread(instance, init_probs, samples, rng):
     """Mean and standard error of cascade size over `samples` independent runs.
 
@@ -86,32 +104,29 @@ def _batch_spread(instance, init_probs, samples, rng):
     edge's coin only matters the first time its source activates.
 
     Runs are bit-parallel: each consumer and each edge holds one bit per run,
-    so memory is O((m + E) * samples / 8) plus one bounded draw chunk. Each
-    round only the newly activated frontier pushes along live edges.
+    so memory is O((m + E) * samples / 8) plus one bounded draw chunk.
     """
     active = _packed_draws(rng, samples, init_probs)
     src, prob, order, heads, cuts = _edge_arrays(instance)
     if src.size:
-        live = _packed_draws(rng, samples, prob, order)
-        frontier = active.copy()
-        hit = np.zeros_like(active)
-        while True:
-            push = frontier[src]
-            push &= live
-            hit[heads] = np.bitwise_or.reduceat(push, cuts, axis=0)
-            np.bitwise_and(hit, ~active, out=frontier)
-            if not frontier.any():
-                break
-            active |= frontier
+        _propagate(active, _packed_draws(rng, samples, prob, order), src, heads, cuts)
     totals = np.unpackbits(active, axis=1, count=samples).sum(axis=0).astype(float)
     mean = float(totals.mean())
     std_error = float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, std_error
 
 
+def _sample_count(samples):
+    if samples is None:
+        return default_sample_count()
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return samples
+
+
 def estimate_sigma(instance, X, Y, samples=None, rng=None, stream_path=None):
     """Monte Carlo estimate of the expected spread for provider set X, consumer set Y."""
-    samples = samples or default_sample_count()
+    samples = _sample_count(samples)
     rng = rng if rng is not None else stream(0, "sigma")
     f = initial_activation(
         indicator(X, instance.n_providers), indicator(Y, instance.n_consumers), instance.bipartite
@@ -126,149 +141,86 @@ def estimate_sigma_hat(instance, s, Y, samples=None, rng=None, stream_path=None)
     Each consumer in Y starts active independently with probability
     1 - exp(-s_j), then the cascade runs as usual.
     """
-    samples = samples or default_sample_count()
+    samples = _sample_count(samples)
     rng = rng if rng is not None else stream(0, "sigma_hat")
     init = net_relaxation(s, indicator(Y, instance.n_consumers))
     mean, se = _batch_spread(instance, init, samples, rng)
     return SpreadEstimate(mean=mean, std_error=se, samples=samples, stream_path=stream_path)
 
 
-def estimate_ic_spread(instance, Z, samples=None, rng=None, stream_path=None):
-    """Monte Carlo estimate of the plain cascade spread of consumer seed set Z."""
-    samples = samples or default_sample_count()
-    rng = rng if rng is not None else stream(0, "ic")
-    init = indicator(Z, instance.n_consumers)
-    mean, se = _batch_spread(instance, init, samples, rng)
-    return SpreadEstimate(mean=mean, std_error=se, samples=samples, stream_path=stream_path)
+def _exact_spread(instance, F):
+    """Exact expected cascade size for each row of the (B, m) stack F.
 
-
-def _split_edges(instance):
-    det = [[] for _ in range(instance.n_consumers)]
-    stoch = []
-    for u, w, p in instance.social_edges:
-        if p >= 1.0:
-            det[u].append(w)
-        else:
-            stoch.append((u, w, p))
-    return det, stoch
-
-
-def _reach(det, extra, seeds):
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in det[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-            for w in extra.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def exact_ic_spread(instance, Z):
-    """Exact expected cascade size from consumer seed set Z.
-
-    Enumerates live/blocked assignments of the stochastic social edges;
-    probability-1 edges are always live. Results are cached per (instance, Z).
+    Consumer u seeds independently with probability F[b, u]. The social edges
+    with probability below 1 (at most EXACT_EDGE_LIMIT of them) are
+    enumerated live or blocked, the others are always live. In each such
+    live-edge world consumer v ends active with probability
+    1 - prod_{u reaches v} (1 - F[b, u]) (Kempe, Kleinberg & Tardos, KDD 2003).
+    Every (world, seed) pair is one packed run of _propagate; worlds go in
+    chunks that keep the working arrays near DRAW_BUDGET bytes.
     """
-    Z = frozenset(int(v) for v in Z)
-    for v in Z:
-        if not 0 <= v < instance.n_consumers:
-            raise ValueError(f"seed {v} out of range")
-    return _exact_ic_cached(instance, Z)
-
-
-@lru_cache(maxsize=1_000_000)
-def _exact_ic_cached(instance, zset):
-    det, stoch = _split_edges(instance)
-    ne = len(stoch)
-    if ne > EXACT_EDGE_LIMIT:
+    src, prob, order, heads, cuts = _edge_arrays(instance)
+    prob = prob[order]
+    stoch = np.flatnonzero(prob < 1.0)
+    k = stoch.size
+    if k > EXACT_EDGE_LIMIT:
         raise ValueError(
-            f"exact cascade enumeration limited to {EXACT_EDGE_LIMIT} stochastic edges, got {ne}"
+            f"exact spread enumeration limited to {EXACT_EDGE_LIMIT} social edges "
+            f"with probability below 1, got {k}"
         )
-    if not zset:
-        return 0.0
-    total = 0.0
-    for mask in range(1 << ne):
-        weight = 1.0
-        extra = {}
-        for e in range(ne):
-            u, w, p = stoch[e]
-            if mask >> e & 1:
-                weight *= p
-                extra.setdefault(u, []).append(w)
-            else:
-                weight *= 1.0 - p
-        total += weight * len(_reach(det, extra, zset))
+    m = instance.n_consumers
+    seeds = np.flatnonzero((F > 0.0).any(axis=0))
+    total = np.zeros(F.shape[0])
+    if not seeds.size:
+        return total
+    # log 0 clamps to log(tiny): its exp is below 1e-300, far under rounding
+    logq = np.log(np.maximum(1.0 - F[:, seeds], np.finfo(float).tiny)).T
+    start = np.zeros((m, seeds.size), dtype=bool)
+    start[seeds, np.arange(seeds.size)] = True
+    # bytes per world: reach as floats, two (m, B) float arrays, unpacked live
+    # bits, and the world's edge bits and factors
+    per_world = 8 * (m * (seeds.size + 2 * F.shape[0]) + src.size * seeds.size + 2 * k)
+    chunk = max(1, DRAW_BUDGET // per_world)
+    for first in range(0, 1 << k, chunk):
+        worlds = np.arange(first, min(first + chunk, 1 << k))
+        bits = ((worlds[:, None] >> np.arange(k)) & 1).astype(bool)
+        weight = np.where(bits, prob[stoch], 1.0 - prob[stoch]).prod(axis=1)
+        active = np.packbits(np.tile(start, worlds.size), axis=1)
+        if src.size:
+            live = np.ones((src.size, worlds.size), dtype=bool)
+            live[stoch] = bits.T
+            live = np.packbits(np.repeat(live, seeds.size, axis=1), axis=1)
+            _propagate(active, live, src, heads, cuts)
+        reach = np.unpackbits(active, axis=1, count=worlds.size * seeds.size)
+        logmiss = reach.reshape(m * worlds.size, seeds.size) @ logq
+        covered = -np.expm1(logmiss).reshape(m, worlds.size, -1).sum(axis=0)
+        total += weight @ covered
     return total
-
-
-def _enumerate_products(probs):
-    """Yield (subset tuple, probability) over independent inclusion of each index."""
-    forced = [j for j, p in probs if p >= 1.0]
-    free = [(j, p) for j, p in probs if p < 1.0]
-    for picks in itertools.product((0, 1), repeat=len(free)):
-        weight = 1.0
-        subset = list(forced)
-        for bit, (j, p) in zip(picks, free):
-            if bit:
-                weight *= p
-                subset.append(j)
-            else:
-                weight *= 1.0 - p
-        if weight > 0.0:
-            yield tuple(sorted(subset)), weight
 
 
 def exact_sigma(instance, X, Y):
     """Exact expected spread for provider set X and consumer set Y.
 
-    Enumerates the direct-activation outcomes (independent per consumer) and
-    weights exact cascade sizes. Guarded: the count of nonzero matrix entries
-    from X to Y plus the social edge count must stay within the enumeration
-    limit.
+    Limited to EXACT_EDGE_LIMIT social edges with probability below 1; the
+    working memory stays near DRAW_BUDGET bytes.
     """
-    X = sorted(set(int(i) for i in X))
-    Y = sorted(set(int(j) for j in Y))
-    mat = instance.bipartite
-    bip_edges = int((mat[np.ix_(X, Y)] > 0).sum()) if X and Y else 0
-    relevant = bip_edges + len(instance.social_edges)
-    if relevant > EXACT_EDGE_LIMIT:
-        raise ValueError(
-            f"exact spread enumeration limited to {EXACT_EDGE_LIMIT} relevant edges, got {relevant}"
-        )
-    if not X or not Y:
-        return 0.0
     f = initial_activation(
-        indicator(X, instance.n_providers), indicator(Y, instance.n_consumers), mat
+        indicator(X, instance.n_providers), indicator(Y, instance.n_consumers), instance.bipartite
     )
-    probs = [(j, float(f[j])) for j in np.flatnonzero(f > 0.0)]
-    total = 0.0
-    for subset, weight in _enumerate_products(probs):
-        total += weight * exact_ic_spread(instance, subset)
-    return total
+    return float(_exact_spread(instance, f[None])[0])
 
 
 def exact_rho_bar(instance, zbar):
-    """Exact expected cascade size when consumer j seeds independently with probability zbar_j."""
-    zbar = np.asarray(zbar, dtype=float).ravel()
+    """Exact expected cascade size when consumer j seeds independently with probability zbar_j.
+
+    zbar is one vector of length m, giving a float, or a (B, m) stack of
+    them, giving an array of B values. Same limit as exact_sigma.
+    """
+    z = np.asarray(zbar, dtype=float)
     m = instance.n_consumers
-    if zbar.size != m:
-        raise ValueError(f"zbar has length {zbar.size}, expected {m}")
-    if (zbar < 0).any() or (zbar > 1).any():
+    if z.ndim not in (1, 2) or z.shape[-1] != m:
+        raise ValueError(f"zbar has shape {z.shape}, expected rows of length {m}")
+    if not ((z >= 0.0) & (z <= 1.0)).all():
         raise ValueError("zbar entries must lie in [0,1]")
-    if m + len(instance.social_edges) > EXACT_EDGE_LIMIT:
-        raise ValueError(
-            f"exact extension limited to consumer count plus social edges <= {EXACT_EDGE_LIMIT}"
-        )
-    probs = [(int(j), float(zbar[j])) for j in np.flatnonzero(zbar > 0.0)]
-    total = 0.0
-    for subset, weight in _enumerate_products(probs):
-        total += weight * exact_ic_spread(instance, subset)
-    return total
+    spread = _exact_spread(instance, np.atleast_2d(z))
+    return float(spread[0]) if z.ndim == 1 else spread

@@ -58,8 +58,8 @@ def build_grid(bit_precision, epsilon, n):
     Starts at 0, then 2**-bit_precision, multiplying by (1+epsilon) until the
     first value >= n, which is the largest any coordinate of x^T M can reach.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a positive finite number, got {epsilon}")
     if bit_precision < 1:
         raise ValueError(f"bit_precision must be at least 1, got {bit_precision}")
     if n < 1:
@@ -114,8 +114,6 @@ def build_weak_net(M, basis, epsilon, bit_precision=None, cell_cap=DEFAULT_CELL_
     """
     M = np.asarray(M, dtype=float)
     n, m = M.shape
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     lam = bit_precision if bit_precision is not None else min_bit_precision(M)
     grid = build_grid(lam, epsilon, n)
     r = basis.rank

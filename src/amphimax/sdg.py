@@ -4,17 +4,20 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._rng import stream
 from .diffusion import (
     SpreadEstimate,
     default_sample_count,
     estimate_sigma,
     estimate_sigma_hat,
-    exact_sigma,
+    exact_rho_bar,
 )
 from .greedy import greedy_max
 from .instance import InstanceValidationError, numerical_rank, validate
 from .net import NetSizeError, build_net
+from .relaxation import indicator, initial_activation
 
 E_COMPLEMENT = 1.0 - 1.0 / math.e
 BRUTE_FORCE_CAP = 10_000
@@ -37,12 +40,14 @@ class SdgConfig:
     max_net_points: int = 200_000
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be a positive finite number, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0,1), got {self.delta}")
         if self.max_net_points < 1:
             raise ValueError("max_net_points must be at least 1")
+        if self.samples_per_eval is not None and self.samples_per_eval < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples_per_eval}")
 
 
 @dataclass(frozen=True)
@@ -176,10 +181,14 @@ def brute_force_opt(instance):
     pairs = math.comb(n, b1) * math.comb(m, b2)
     if pairs > BRUTE_FORCE_CAP:
         raise ValueError(f"{pairs} candidate pairs exceeds the brute-force cap {BRUTE_FORCE_CAP}")
+    ys = list(itertools.combinations(range(m), b2))
+    y_rows = np.array([indicator(Y, m) for Y in ys])
     best = None
     for X in itertools.combinations(range(n), b1):
-        for Y in itertools.combinations(range(m), b2):
-            val = exact_sigma(instance, X, Y)
-            if best is None or val > best[2]:
-                best = (X, Y, val)
+        # row k is initial_activation(X, ys[k]): y_j times the same direct hit chance
+        hit = initial_activation(indicator(X, n), np.ones(m), instance.bipartite)
+        values = exact_rho_bar(instance, y_rows * hit)
+        k = int(np.argmax(values))
+        if best is None or values[k] > best[2]:
+            best = (X, ys[k], float(values[k]))
     return best

@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from amphimax._rng import stream
-from amphimax.diffusion import (
-    estimate_ic_spread,
-    estimate_sigma,
-    exact_rho_bar,
-    exact_sigma,
-)
+from amphimax.diffusion import estimate_sigma, exact_rho_bar, exact_sigma
 from amphimax.generators import gen_classic_im, gen_planted_biclique, gen_rank_r
 from amphimax.greedy import greedy_max
 from amphimax.instance import numerical_rank, serialize_instance, validate
@@ -247,7 +242,8 @@ def test_criterion_07_classic_im_reduction(capsys):
         counter = itertools.count()
 
         def oracle(S, _k=k, _c=counter):
-            return estimate_ic_spread(inst, S, 500, stream(_k, "standalone", next(_c)))
+            # the single all-ones provider seeds S with certainty: plain cascade
+            return estimate_sigma(inst, (0,), S, 500, stream(_k, "standalone", next(_c)))
 
         standalone, _ = greedy_max(oracle, range(30), 3)
         agreements += sol.consumers == tuple(sorted(standalone))

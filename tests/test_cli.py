@@ -114,6 +114,31 @@ def test_exact_matches_library(instance_file):
     assert abs(doc["mean"] - exact_sigma(inst, (0, 1), (0, 2))) < 1e-12
 
 
+def test_exact_index_out_of_range_exits_1(instance_file):
+    path, _ = instance_file
+    proc = run_cli("exact", "--instance", str(path), "--x", "9", "--y", "0")
+    assert proc.returncode == 1
+    assert "out of range" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("simulate", "--samples", "0"), "samples must be at least 1"),
+        (("simulate", "--samples", "-4"), "samples must be at least 1"),
+        (("solve", "--epsilon", "0.8", "--samples", "0"), "samples must be at least 1"),
+        (("solve", "--epsilon", "nan"), "epsilon must be a positive finite number"),
+        (("net", "--epsilon", "nan"), "epsilon must be a positive finite number"),
+    ],
+    ids=["simulate-zero", "simulate-negative", "solve-zero", "solve-nan", "net-nan"],
+)
+def test_bad_sample_counts_and_epsilon_exit_1(instance_file, args, message):
+    path, _ = instance_file
+    proc = run_cli(args[0], "--instance", str(path), *args[1:])
+    assert proc.returncode == 1
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_empty_index_lists(instance_file):
     path, _ = instance_file
     proc = run_cli("exact", "--instance", str(path), "--x", "", "--y", "0")

@@ -9,10 +9,8 @@ from amphimax import diffusion
 from amphimax._rng import stream
 from amphimax.diffusion import (
     default_sample_count,
-    estimate_ic_spread,
     estimate_sigma,
     estimate_sigma_hat,
-    exact_ic_spread,
     exact_rho_bar,
     exact_sigma,
 )
@@ -142,11 +140,16 @@ def test_default_sample_count():
     assert default_sample_count(0.1, 0.05) == math.ceil(math.log(40.0) / 0.02)
 
 
+def exact_ic(instance, Z):
+    """Exact plain cascade spread of seed set Z: the extension at a 0/1 vector."""
+    return exact_rho_bar(instance, indicator(Z, instance.n_consumers))
+
+
 def test_exact_ic_deterministic_path():
     inst = make_instance([[1.0, 1.0, 1.0]], edges=[(0, 1, 1.0), (1, 2, 1.0)], lam=1)
-    assert exact_ic_spread(inst, {0}) == 3.0
-    assert exact_ic_spread(inst, {2}) == 1.0
-    assert exact_ic_spread(inst, ()) == 0.0
+    assert exact_ic(inst, {0}) == 3.0
+    assert exact_ic(inst, {2}) == 1.0
+    assert exact_ic(inst, ()) == 0.0
 
 
 def test_exact_ic_matches_full_enumeration():
@@ -163,21 +166,31 @@ def test_exact_ic_matches_full_enumeration():
         inst = make_instance(np.full((1, m), 0.5), edges=edges, lam=1)
         for _ in range(4):
             Z = tuple(np.flatnonzero(rng.random(m) < 0.5))
-            got = exact_ic_spread(inst, Z)
+            got = exact_ic(inst, Z)
             want = spread_by_full_enumeration(inst, Z)
             assert abs(got - want) < 1e-12
 
 
+PAIRS_OF_6 = [(u, w) for u in range(6) for w in range(6) if u != w]
+# one edge below probability 1 over the exact oracles' limit
+TOO_MANY_EDGES = make_instance(np.full((1, 6), 0.5), edges=[(u, w, 0.5) for u, w in PAIRS_OF_6[:23]], lam=1)
+GUARD = "limited to 22 social edges with probability below 1, got 23"
+
+
 def test_exact_ic_guard():
-    edges = [(u, w, 0.5) for u in range(6) for w in range(6) if u != w][:23]
-    inst = make_instance(np.full((1, 6), 0.5), edges=edges, lam=1)
-    with pytest.raises(ValueError, match="limited to 22 stochastic edges"):
-        exact_ic_spread(inst, {0})
+    with pytest.raises(ValueError, match=GUARD):
+        exact_ic(TOO_MANY_EDGES, {0})
+    # only edges below probability 1 count: 30 certain edges make 0..5 one
+    # block, then 0 -> 6 -> 7 at 0.5 each
+    edges = [(u, w, 1.0) for u, w in PAIRS_OF_6] + [(0, 6, 0.5), (6, 7, 0.5)]
+    inst = make_instance(np.full((1, 8), 0.5), edges=edges, lam=1)
+    assert abs(exact_ic(inst, {3}) - 6.75) < 1e-12
 
 
 def test_exact_ic_seed_range_check():
-    with pytest.raises(ValueError, match="seed 5 out of range"):
-        exact_ic_spread(HALF_PAIR, {5})
+    for X, Y in [((0,), (5,)), ((9,), (0,))]:
+        with pytest.raises(ValueError, match="out of range"):
+            exact_sigma(HALF_PAIR, X, Y)
 
 
 def test_exact_sigma_hand_computed_example():
@@ -194,9 +207,11 @@ def test_exact_sigma_trivial_cases():
 
 
 def test_exact_sigma_guard_message():
+    # bipartite entries do not count toward the limit
     inst = make_instance(np.full((6, 4), 0.5), lam=1)
-    with pytest.raises(ValueError, match="limited to 22 relevant edges, got 24"):
-        exact_sigma(inst, range(6), range(4))
+    assert abs(exact_sigma(inst, range(6), range(4)) - 4 * (1 - 0.5**6)) < 1e-12
+    with pytest.raises(ValueError, match=GUARD):
+        exact_sigma(TOO_MANY_EDGES, (0,), (0,))
 
 
 def test_exact_sigma_classic_im_reduction():
@@ -205,7 +220,7 @@ def test_exact_sigma_classic_im_reduction():
     inst = make_instance(np.ones((2, 3)), edges=[(0, 1, 0.4), (2, 0, 0.7)], lam=1)
     for size in (1, 2):
         for Y in itertools.combinations(range(3), size):
-            assert abs(exact_sigma(inst, (0,), Y) - exact_ic_spread(inst, Y)) < 1e-12
+            assert abs(exact_sigma(inst, (0,), Y) - spread_by_full_enumeration(inst, Y)) < 1e-12
 
 
 def test_exact_sigma_against_independent_activation_enumeration():
@@ -224,7 +239,7 @@ def test_exact_sigma_against_independent_activation_enumeration():
 
 
 def test_exact_rho_bar_degenerate_and_zero():
-    assert exact_rho_bar(HALF_PAIR, [1.0, 0.0]) == exact_ic_spread(HALF_PAIR, (0,))
+    assert exact_rho_bar(HALF_PAIR, [1.0, 0.0]) == 1.5
     assert exact_rho_bar(HALF_PAIR, [0.0, 0.0]) == 0.0
 
 
@@ -241,11 +256,49 @@ def test_exact_rho_bar_scaling_property():
 def test_exact_rho_bar_validation():
     with pytest.raises(ValueError, match="length"):
         exact_rho_bar(HALF_PAIR, [0.5])
-    with pytest.raises(ValueError, match="lie in \\[0,1\\]"):
-        exact_rho_bar(HALF_PAIR, [0.5, 1.5])
+    with pytest.raises(ValueError, match="length"):
+        exact_rho_bar(HALF_PAIR, np.full((2, 2, 2), 0.5))
+    for bad in ([0.5, 1.5], [0.5, float("nan")], [[0.5, 0.5], [-0.1, 0.5]]):
+        with pytest.raises(ValueError, match="lie in \\[0,1\\]"):
+            exact_rho_bar(HALF_PAIR, bad)
+    with pytest.raises(ValueError, match=GUARD):
+        exact_rho_bar(TOO_MANY_EDGES, np.full(6, 0.5))
+
+
+def test_exact_rho_bar_counts_no_consumers_toward_the_limit():
     big = make_instance(np.full((1, 23), 0.5), lam=1)
-    with pytest.raises(ValueError, match="consumer count plus social edges"):
-        exact_rho_bar(big, np.full(23, 0.5))
+    assert abs(exact_rho_bar(big, np.full(23, 0.5)) - 11.5) < 1e-12
+
+
+def test_exact_rho_bar_stack_matches_rows():
+    inst = KERNEL_CASES["fan_in"]
+    Z = np.random.default_rng(3).random((5, 6))
+    Z[1] = 0.0
+    Z[2, :3] = 1.0
+    got = exact_rho_bar(inst, Z)
+    assert got.shape == (5,) and got[1] == 0.0
+    for row, value in zip(Z, got):
+        assert abs(exact_rho_bar(inst, row) - value) < 1e-12
+
+
+def test_exact_spread_in_small_world_chunks(monkeypatch):
+    # "cycle" has 4 edges below probability 1: 16 worlds, one chunk by default
+    inst = KERNEL_CASES["cycle"]
+    z = _init_probs(4, 1)
+    want = exact_rho_bar(inst, z)
+    calls = []
+    propagate = diffusion._propagate
+
+    def counting(*args):
+        calls.append(args)
+        propagate(*args)
+
+    monkeypatch.setattr(diffusion, "_propagate", counting)
+    assert exact_rho_bar(inst, z) == want and len(calls) == 1
+    monkeypatch.setattr(diffusion, "DRAW_BUDGET", 1)
+    calls.clear()
+    assert abs(exact_rho_bar(inst, z) - want) < 1e-12
+    assert len(calls) == 16
 
 
 def test_simulate_ic_deterministic_and_empty():
@@ -363,9 +416,33 @@ def test_estimate_sigma_hat_matches_exact_extension():
     assert abs(est.mean - want) <= 3 * est.std_error
 
 
+def test_exact_memory_is_bounded_at_20_stochastic_edges():
+    # 2**20 worlds x 8 consumers x 3 seeds as floats would be 192 MiB at once
+    inst = gen_rank_r(3, 8, 2, social_edge_count=20, seed=3)
+    assert all(p < 1.0 for _, _, p in inst.social_edges)
+    tracemalloc.start()
+    try:
+        value = exact_sigma(inst, (0, 1), (0, 2, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value <= 8.0
+    assert peak < 64 * 2**20
+
+
 def test_estimate_ic_spread_agrees_with_exact():
-    est = estimate_ic_spread(HALF_PAIR, (0,), samples=8000, rng=stream(8, "t"))
-    assert abs(est.mean - exact_ic_spread(HALF_PAIR, (0,))) <= 3 * est.std_error
+    # an all-ones provider row seeds Y with certainty: the plain cascade
+    inst = make_instance([[1.0, 1.0]], edges=[(0, 1, 0.5)], lam=1)
+    est = estimate_sigma(inst, (0,), (0,), samples=8000, rng=stream(8, "t"))
+    assert abs(est.mean - 1.5) <= 3 * est.std_error
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_estimates_reject_bad_sample_counts(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        estimate_sigma(HALF_PAIR, (0,), (0,), samples=samples)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        estimate_sigma_hat(HALF_PAIR, np.ones(2), (0,), samples=samples)
 
 
 def test_estimates_carry_stream_path():

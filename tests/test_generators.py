@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from amphimax._rng import stream
-from amphimax.diffusion import exact_ic_spread, exact_sigma
+from amphimax.diffusion import exact_sigma
 from amphimax.generators import (
     gen_classic_im,
     gen_from_params,
@@ -120,10 +120,14 @@ def test_classic_im_shape_and_reduction():
     assert inst.n_providers == 1 and inst.budget_providers == 1
     assert numerical_rank(inst.bipartite).rank == 1
     assert np.all(inst.bipartite == 1.0)
-    # with the single provider chosen, sigma is exactly the classic spread
-    for size in (1, 2):
-        for Y in itertools.combinations(range(4), size):
-            assert abs(exact_sigma(inst, (0,), Y) - exact_ic_spread(inst, Y)) < 1e-12
+    # with the single provider chosen, sigma is exactly the classic spread,
+    # worked by hand over the two stochastic edges 0->1 and 3->0
+    classic = {
+        (0,): 2.0, (1,): 2.0, (2,): 1.0, (3,): 1.5, (0, 1): 3.0,
+        (0, 2): 2.5, (0, 3): 3.0, (1, 2): 2.0, (1, 3): 3.25, (2, 3): 2.375,
+    }
+    for Y, want in classic.items():
+        assert abs(exact_sigma(inst, (0,), Y) - want) < 1e-12
 
 
 def test_three_layer_structure():

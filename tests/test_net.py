@@ -73,6 +73,9 @@ def test_grid_shape_invariants():
 def test_grid_rejects_bad_parameters():
     with pytest.raises(ValueError, match="epsilon"):
         build_grid(4, 0.0, 2)
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be a positive finite number"):
+            build_grid(4, eps, 2)
     with pytest.raises(ValueError, match="bit_precision"):
         build_grid(0, 0.5, 2)
     with pytest.raises(ValueError, match="n must be"):

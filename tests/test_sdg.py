@@ -43,6 +43,15 @@ def test_sdg_config_validation():
         SdgConfig(epsilon=0.5, max_net_points=0)
 
 
+def test_sdg_config_rejects_nan_epsilon_and_bad_sample_counts():
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be a positive finite number"):
+            SdgConfig(epsilon=eps)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            SdgConfig(epsilon=0.5, samples_per_eval=samples)
+
+
 def test_brute_force_singleton():
     inst = make_instance([[0.5]], lam=1)
     X, Y, val = brute_force_opt(inst)
@@ -58,6 +67,21 @@ def test_brute_force_hand_example():
 def test_brute_force_zero_matrix():
     inst = make_instance(np.zeros((2, 2)), lam=1)
     assert brute_force_opt(inst)[2] == 0.0
+
+
+def test_brute_force_value_is_exact_sigma_of_its_pair():
+    inst = gen_rank_r(10, 8, 2, social_edge_count=10, seed=3)
+    X, Y, val = brute_force_opt(inst)
+    assert (X, Y) == ((0, 3, 9), (1, 6))
+    assert abs(val - 2.1766072721491874) < 1e-12
+    assert abs(val - exact_sigma(inst, X, Y)) < 1e-12
+
+
+def test_brute_force_ties_go_to_the_first_pair():
+    # every pair is worth exactly 2 * 0.5
+    inst = make_instance(np.full((3, 4), 0.5), b1=1, b2=2, lam=1)
+    X, Y, val = brute_force_opt(inst)
+    assert (X, Y) == ((0,), (0, 1)) and abs(val - 1.0) < 1e-12
 
 
 def test_brute_force_cap():
