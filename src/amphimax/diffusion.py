@@ -56,16 +56,30 @@ def _edge_arrays(instance):
     return src, prob, order, heads, cuts
 
 
+def _word_bytes(runs):
+    """Bytes per packed row of `runs` runs, rounded up to whole 64-bit words."""
+    return 8 * ((runs + 63) // 64)
+
+
+def _pack_runs(bits):
+    """np.packbits(bits, axis=1) with zero padding bytes up to whole 64-bit words."""
+    out = np.zeros((bits.shape[0], _word_bytes(bits.shape[1])), dtype=np.uint8)
+    packed = np.packbits(bits, axis=1)
+    out[:, : packed.shape[1]] = packed
+    return out
+
+
 def _packed_draws(rng, samples, probs, order=None):
-    """Bernoulli(probs) for `samples` runs, packed 8 runs per byte.
+    """Bernoulli(probs) for `samples` runs, packed 8 runs per byte, 64 per word.
 
     Same draws as `rng.random((samples, probs.size)) < probs`, taken in row
     chunks that keep the floats under DRAW_BUDGET bytes (consecutive calls
-    continue one stream). Row k of the (probs.size, ceil(samples/8)) result
-    is column order[k] of that matrix; padding bits past `samples` are 0.
+    continue one stream). Row k of the (probs.size, 8 * ceil(samples/64))
+    uint8 result is column order[k] of that matrix; rows are padded to whole
+    64-bit words and every bit past `samples` is 0.
     """
     width = probs.size
-    out = np.empty((width, (samples + 7) // 8), dtype=np.uint8)
+    out = np.zeros((width, _word_bytes(samples)), dtype=np.uint8)
     rows = max(8, DRAW_BUDGET // (8 * width) // 8 * 8)
     for start in range(0, samples, rows):
         bits = rng.random((min(rows, samples - start), width)) < probs
@@ -80,9 +94,13 @@ def _propagate(active, live, src, heads, cuts):
     """Close the packed active sets under live edges, in place.
 
     `active` holds one row per consumer and `live` one row per edge in target
-    order (see _edge_arrays), one bit per run. Each round only the newly
-    activated frontier pushes along live edges.
+    order (see _edge_arrays), one bit per run, in uint8 rows padded to whole
+    64-bit words (see _pack_runs); the loop runs on uint64 views of them, 64
+    runs per word. Each round only the newly activated frontier pushes along
+    live edges.
     """
+    active = active.view(np.uint64)
+    live = live.view(np.uint64)
     frontier = active.copy()
     hit = np.zeros_like(active)
     while True:
@@ -104,7 +122,8 @@ def _batch_spread(instance, init_probs, samples, rng):
     edge's coin only matters the first time its source activates.
 
     Runs are bit-parallel: each consumer and each edge holds one bit per run,
-    so memory is O((m + E) * samples / 8) plus one bounded draw chunk.
+    64 runs per word, so memory is O((m + E) * ceil(samples/64) * 8) bytes
+    plus one bounded draw chunk.
     """
     active = _packed_draws(rng, samples, init_probs)
     src, prob, order, heads, cuts = _edge_arrays(instance)
@@ -185,11 +204,11 @@ def _exact_spread(instance, F):
         worlds = np.arange(first, min(first + chunk, 1 << k))
         bits = ((worlds[:, None] >> np.arange(k)) & 1).astype(bool)
         weight = np.where(bits, prob[stoch], 1.0 - prob[stoch]).prod(axis=1)
-        active = np.packbits(np.tile(start, worlds.size), axis=1)
+        active = _pack_runs(np.tile(start, worlds.size))
         if src.size:
             live = np.ones((src.size, worlds.size), dtype=bool)
             live[stoch] = bits.T
-            live = np.packbits(np.repeat(live, seeds.size, axis=1), axis=1)
+            live = _pack_runs(np.repeat(live, seeds.size, axis=1))
             _propagate(active, live, src, heads, cuts)
         reach = np.unpackbits(active, axis=1, count=worlds.size * seeds.size)
         logmiss = reach.reshape(m * worlds.size, seeds.size) @ logq

@@ -212,17 +212,36 @@ def min_bit_precision(M):
     return lam
 
 
+def _integer(value, field):
+    """`value` as an int, or InstanceFormatError naming `field` if it is not a whole number."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f"{field} must be an integer: {exc}") from exc
+    if isinstance(value, float) and whole != value:
+        raise InstanceFormatError(f"{field} must be an integer, got {value!r}")
+    return whole
+
+
+def _float_matrix(rows, field):
+    """`rows` as a float array, or InstanceFormatError naming `field` if non-numeric or ragged."""
+    try:
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f"{field} must be a matrix of numbers: {exc}") from exc
+
+
 def _matrix_from_doc(bip, n, m):
     if not isinstance(bip, dict):
         raise InstanceFormatError("bipartite must be an object with 'dense' or 'left'/'right'")
     if "dense" in bip:
-        mat = np.array(bip["dense"], dtype=float)
+        mat = _float_matrix(bip["dense"], "bipartite.dense")
         if mat.ndim != 2 or mat.shape != (n, m):
             raise InstanceFormatError(f"bipartite.dense must be a {n}x{m} matrix, got shape {mat.shape}")
         return mat
     if "left" in bip and "right" in bip:
-        left = np.array(bip["left"], dtype=float)
-        right = np.array(bip["right"], dtype=float)
+        left = _float_matrix(bip["left"], "bipartite.left")
+        right = _float_matrix(bip["right"], "bipartite.right")
         if left.ndim != 2 or right.ndim != 2 or left.shape[0] != n or right.shape[1] != m:
             raise InstanceFormatError(
                 f"factored bipartite must multiply to {n}x{m}, got {left.shape} x {right.shape}"
@@ -267,11 +286,8 @@ def parse_instance(text):
     for name in ("n", "m", "bipartite", "social_edges", "budgets"):
         if name not in doc:
             raise InstanceFormatError(f"missing field: {name}")
-    try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"n and m must be integers: {exc}") from exc
+    n = _integer(doc["n"], "n")
+    m = _integer(doc["m"], "m")
     mat = _matrix_from_doc(doc["bipartite"], n, m)
     raw_edges = doc["social_edges"]
     if not isinstance(raw_edges, list):
@@ -280,26 +296,25 @@ def parse_instance(text):
     for k, e in enumerate(raw_edges):
         if not isinstance(e, (list, tuple)) or len(e) != 3:
             raise InstanceFormatError(f"social_edges[{k}] must be [source, target, probability]")
+        u, w = e[0], e[1]
+        # JSON integers need no check; the field names are built only for the rest
+        if type(u) is not int or type(w) is not int:
+            u = _integer(u, f"social_edges[{k}] source")
+            w = _integer(w, f"social_edges[{k}] target")
         try:
-            edges.append((int(e[0]), int(e[1]), float(e[2])))
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"social_edges[{k}] has a non-numeric entry: {exc}") from exc
+            p = float(e[2])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InstanceFormatError(f"social_edges[{k}] probability must be a number: {exc}") from exc
+        edges.append((u, w, p))
     budgets = doc["budgets"]
     if not isinstance(budgets, dict):
         raise InstanceFormatError("budgets must be an object")
     for name in ("providers", "consumers"):
         if name not in budgets:
             raise InstanceFormatError(f"missing field: budgets.{name}")
-    try:
-        b1 = int(budgets["providers"])
-        b2 = int(budgets["consumers"])
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"budgets must be integers: {exc}") from exc
-    lam = doc.get("bit_precision", DEFAULT_BIT_PRECISION)
-    try:
-        lam = int(lam)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"bit_precision must be an integer: {exc}") from exc
+    b1 = _integer(budgets["providers"], "budgets.providers")
+    b2 = _integer(budgets["consumers"], "budgets.consumers")
+    lam = _integer(doc.get("bit_precision", DEFAULT_BIT_PRECISION), "bit_precision")
     inst = AimInstance(
         n_providers=n,
         n_consumers=m,

@@ -275,10 +275,15 @@ def test_exact_rho_bar_stack_matches_rows():
     Z = np.random.default_rng(3).random((5, 6))
     Z[1] = 0.0
     Z[2, :3] = 1.0
-    got = exact_rho_bar(inst, Z)
-    assert got.shape == (5,) and got[1] == 0.0
-    for row, value in zip(Z, got):
-        assert abs(exact_rho_bar(inst, row) - value) < 1e-12
+    # 32 worlds of the five edges below probability 1: six seed columns fill
+    # three whole 64-run words, five leave the last word partly padding
+    partial = Z.copy()
+    partial[:, 5] = 0.0
+    for stack in (Z, partial):
+        got = exact_rho_bar(inst, stack)
+        assert got.shape == (5,) and got[1] == 0.0
+        for row, value in zip(stack, got):
+            assert abs(exact_rho_bar(inst, row) - value) < 1e-12
 
 
 def test_exact_spread_in_small_world_chunks(monkeypatch):
@@ -330,7 +335,7 @@ def test_sample_initial_set():
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-@pytest.mark.parametrize("samples", [1, 7, 8, 9, 1001])
+@pytest.mark.parametrize("samples", [1, 7, 8, 9, 63, 64, 65, 129, 1001])
 def test_packed_kernel_equals_dense_reference(case, samples):
     inst = KERNEL_CASES[case]
     for seed in range(3):
@@ -452,7 +457,8 @@ def test_estimates_carry_stream_path():
 
 def test_estimate_memory_is_bounded_on_a_large_graph():
     # m=3,000, E=20,000: a dense E x m float32 incidence array alone would be
-    # 229 MiB; the packed kernel holds (m + E) x 1,000 bits plus one draw chunk
+    # 229 MiB; the packed kernel holds (m + E) x ceil(1,000/64) 64-bit words
+    # (2.8 MiB) plus one draw chunk
     inst = gen_rank_r(20, 3000, 2, social_edge_count=20000, seed=3)
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,9 +159,58 @@ def test_parse_rejects_malformed_documents():
     doc["social_edges"] = [[0, 1]]
     with pytest.raises(InstanceFormatError, match="social_edges\\[0\\]"):
         parse_instance(json.dumps(doc))
+    for p in ("high", 10**400):
+        doc["social_edges"] = [[0, 0, p]]
+        with pytest.raises(InstanceFormatError, match="social_edges\\[0\\] probability must be a number"):
+            parse_instance(json.dumps(doc))
     doc = doc_for([[0.5]])
     doc["bipartite"] = {"dense": [[0.5, 0.5]]}
     with pytest.raises(InstanceFormatError, match="must be a 1x1 matrix"):
+        parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "bipartite, field",
+    [
+        ({"dense": [["a", 1]]}, "bipartite.dense"),
+        ({"dense": [[0.5], [0.5, 1]]}, "bipartite.dense"),
+        ({"left": [["a"]], "right": [[0.5, 0.5]]}, "bipartite.left"),
+        ({"left": [[1.0]], "right": [[0.5], [0.5, 1]]}, "bipartite.right"),
+        ({"dense": [[10**400, 0.5]]}, "bipartite.dense"),
+    ],
+    ids=["dense-string", "dense-ragged", "left-string", "right-ragged", "dense-overflow"],
+)
+def test_parse_rejects_non_numeric_or_ragged_matrices(bipartite, field):
+    doc = doc_for([[0.5, 0.5]])
+    doc["bipartite"] = bipartite
+    with pytest.raises(InstanceFormatError, match=f"{field} must be a matrix of numbers"):
+        parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("n",), "n"),
+        (("m",), "m"),
+        (("budgets", "providers"), "budgets.providers"),
+        (("budgets", "consumers"), "budgets.consumers"),
+        (("bit_precision",), "bit_precision"),
+        (("social_edges", 0, 0), "social_edges[0] source"),
+        (("social_edges", 0, 1), "social_edges[0] target"),
+    ],
+    ids=["n", "m", "budgets.providers", "budgets.consumers", "bit_precision", "edge-source", "edge-target"],
+)
+def test_parse_rejects_non_integral_sizes_and_indices(path, field):
+    doc = doc_for([[0.5, 0.5], [0.5, 0.5]], edges=[(0, 1, 0.5)])
+    *parents, key = path
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    # the integral float of the same value still loads
+    holder[key] = float(holder[key])
+    parse_instance(json.dumps(doc))
+    holder[key] += 0.5
+    with pytest.raises(InstanceFormatError, match=re.escape(f"{field} must be an integer, got")):
         parse_instance(json.dumps(doc))
 
 
