@@ -31,6 +31,7 @@ from .instance import (
     InstanceFormatError,
     InstanceValidationError,
     RankBasis,
+    dump_json,
     min_bit_precision,
     numerical_rank,
     parse_instance,
@@ -60,6 +61,7 @@ __all__ = [
     "concave_relaxation",
     "covering_point",
     "default_sample_count",
+    "dump_json",
     "estimate_sigma",
     "estimate_sigma_hat",
     "exact_rho_bar",

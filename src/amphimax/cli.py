@@ -2,7 +2,6 @@
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 
@@ -12,9 +11,10 @@ from .diffusion import EXACT_EDGE_LIMIT, default_sample_count, estimate_sigma, e
 from .instance import (
     InstanceFormatError,
     InstanceValidationError,
+    _instance_doc,
+    dump_json,
     numerical_rank,
     parse_instance,
-    serialize_instance,
 )
 from .net import NetSizeError, build_net
 from .sdg import SdgConfig, approximation_ratio, solve
@@ -31,7 +31,7 @@ def _parse_indices(text):
 
 
 def _dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return dump_json(obj) + "\n"
 
 
 def _load_instance(path):
@@ -53,8 +53,8 @@ def _manifest(args, checksum, elapsed_ms):
 
 
 def _emit(args, payload, checksum, started):
-    elapsed_ms = round(1000.0 * (time.perf_counter() - started), 3)
     text = _dump(payload)
+    elapsed_ms = round(1000.0 * (time.perf_counter() - started), 3)
     sys.stdout.write(text)
     out = getattr(args, "out", None)
     if out:
@@ -151,7 +151,7 @@ def _cmd_gen(args):
 
     started = time.perf_counter()
     instance, extras = gen_from_params(args.family, _parse_params(args.params), args.seed)
-    doc = json.loads(serialize_instance(instance))
+    doc = _instance_doc(instance)
     doc.update(extras)
     _emit(args, doc, None, started)
     return 0

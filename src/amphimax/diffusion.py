@@ -123,8 +123,12 @@ def _batch_spread(instance, init_probs, samples, rng):
 
     Runs are bit-parallel: each consumer and each edge holds one bit per run,
     64 runs per word, so memory is O((m + E) * ceil(samples/64) * 8) bytes
-    plus one bounded draw chunk.
+    plus one bounded draw chunk. When every init probability is 0 no run
+    seeds anyone, so the call returns (0.0, 0.0) without drawing and does not
+    advance `rng`.
     """
+    if not init_probs.any():
+        return 0.0, 0.0
     active = _packed_draws(rng, samples, init_probs)
     src, prob, order, heads, cuts = _edge_arrays(instance)
     if src.size:

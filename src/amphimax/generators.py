@@ -14,14 +14,12 @@ def random_digraph(m, edge_count, rng, prob_high=0.5):
         raise ValueError(f"cannot place {edge_count} distinct edges on {m} nodes")
     if edge_count == 0:
         return ()
-    codes = rng.choice(m * (m - 1), size=edge_count, replace=False)
+    codes = np.sort(rng.choice(m * (m - 1), size=edge_count, replace=False))
     probs = prob_high * (1.0 - rng.random(edge_count))
-    edges = []
-    for code, p in zip(sorted(int(c) for c in codes), probs):
-        u, rest = divmod(code, m - 1)
-        w = rest + (rest >= u)
-        edges.append((u, w, float(p)))
-    return tuple(edges)
+    # code u*(m-1) + k is the edge from u to the k-th node other than u
+    u, rest = np.divmod(codes, m - 1)
+    w = rest + (rest >= u)
+    return tuple(zip(u.tolist(), w.tolist(), probs.tolist()))
 
 
 def gen_rank_r(

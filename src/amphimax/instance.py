@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -214,6 +216,9 @@ def min_bit_precision(M):
 
 def _integer(value, field):
     """`value` as an int, or InstanceFormatError naming `field` if it is not a whole number."""
+    # JSON true and false load as bools, which int() would take as 1 and 0
+    if isinstance(value, bool):
+        raise InstanceFormatError(f"{field} must be an integer, got a boolean")
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -224,11 +229,14 @@ def _integer(value, field):
 
 
 def _float_matrix(rows, field):
-    """`rows` as a float array, or InstanceFormatError naming `field` if non-numeric or ragged."""
+    """`rows` as a float array, or InstanceFormatError naming `field` if non-numeric, boolean or ragged."""
     try:
-        return np.array(rows, dtype=float)
+        mat = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"{field} must be a matrix of numbers: {exc}") from exc
+    if mat.ndim == 2 and any(bool in map(type, row) for row in rows):
+        raise InstanceFormatError(f"{field} must be a matrix of numbers, got a boolean")
+    return mat
 
 
 def _matrix_from_doc(bip, n, m):
@@ -301,6 +309,8 @@ def parse_instance(text):
         if type(u) is not int or type(w) is not int:
             u = _integer(u, f"social_edges[{k}] source")
             w = _integer(w, f"social_edges[{k}] target")
+        if isinstance(e[2], bool):
+            raise InstanceFormatError(f"social_edges[{k}] probability must be a number, got a boolean")
         try:
             p = float(e[2])
         except (TypeError, ValueError, OverflowError) as exc:
@@ -330,6 +340,21 @@ def parse_instance(text):
     return inst
 
 
+def _instance_doc(instance):
+    """The JSON document of an instance, as a dict of plain Python values."""
+    return {
+        "n": instance.n_providers,
+        "m": instance.n_consumers,
+        "bipartite": {"dense": instance.bipartite.tolist()},
+        "social_edges": instance.social_edges,
+        "budgets": {
+            "providers": instance.budget_providers,
+            "consumers": instance.budget_consumers,
+        },
+        "bit_precision": instance.bit_precision,
+    }
+
+
 def serialize_instance(instance):
     """Serialize an instance to its JSON document form.
 
@@ -344,15 +369,85 @@ def serialize_instance(instance):
     -------
     str
     """
-    doc = {
-        "n": instance.n_providers,
-        "m": instance.n_consumers,
-        "bipartite": {"dense": [[float(x) for x in row] for row in instance.bipartite]},
-        "social_edges": [[u, w, p] for (u, w, p) in instance.social_edges],
-        "budgets": {
-            "providers": instance.budget_providers,
-            "consumers": instance.budget_consumers,
-        },
-        "bit_precision": instance.bit_precision,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(_instance_doc(instance)) + "\n"
+
+
+def dump_json(obj):
+    """Exactly the text of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    json uses its C encoder only without an indent, so the indented form goes
+    through the pure-Python one; this builds the same text from string joins,
+    with one join per list of floats (a matrix row) and one format string per
+    [int, int, float] row (a social edge).
+
+    Raises
+    ------
+    TypeError
+        When a value is not a str, int, float, bool, None, list, tuple or dict.
+    """
+    return _encode(obj, "\n")
+
+
+def _encode(value, newline):
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + _items(value, inner) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        members = (
+            encode_basestring_ascii(key if isinstance(key, str) else _scalar(key)) + ": " + _encode(v, inner)
+            for key, v in sorted(value.items())
+        )
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    return _scalar(value)
+
+
+def _items(items, inner):
+    """The items of a non-empty list, one per line at indent `inner`, comma-separated."""
+    sep = "," + inner
+    text = None
+    if type(items[0]) is float:
+        try:
+            text = sep.join(map(float.__repr__, items))
+        except TypeError:  # not every item is a float
+            pass
+    elif all(
+        type(e) in (list, tuple) and len(e) == 3
+        and type(e[0]) is int and type(e[1]) is int and type(e[2]) is float
+        for e in items
+    ):
+        deeper = inner + "  "
+        row = f"[{deeper}%d,{deeper}%d,{deeper}%r{inner}]"
+        text = sep.join([row % (u, w, p) for u, w, p in items])
+    # the repr of an int or a finite float has no "n"; nan and inf do, and
+    # json spells them NaN, Infinity and -Infinity
+    if text is None or "n" in text:
+        text = sep.join([_encode(v, inner) for v in items])
+    return text
+
+
+def _scalar(value):
+    """json's spelling of None, a bool, an int or a float."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

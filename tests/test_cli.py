@@ -2,10 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from amphimax import cli
 from amphimax.diffusion import exact_sigma
 from amphimax.generators import gen_rank_r
 from amphimax.instance import parse_instance, serialize_instance
@@ -87,6 +89,22 @@ def test_gen_planted_embeds_metadata():
     assert len(doc["planted"]) == 4
     # document still parses as an instance; the extra key is ignored
     parse_instance(proc.stdout)
+
+
+def test_elapsed_time_includes_encoding(tmp_path, monkeypatch, capsys):
+    dump = cli._dump
+
+    def slow_dump(obj):
+        time.sleep(0.2)
+        return dump(obj)
+
+    monkeypatch.setattr(cli, "_dump", slow_dump)
+    out = tmp_path / "inst.json"
+    argv = ["gen", "--family", "rank_r", "--params", "n=2,m=2,r=1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "inst.json.manifest.json").read_text())
+    assert manifest["elapsed_ms"] >= 200.0
+    assert f"done in {manifest['elapsed_ms']} ms" in capsys.readouterr().err
 
 
 def test_gen_bad_params_exit_1():

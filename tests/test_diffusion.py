@@ -368,8 +368,12 @@ def test_packed_kernel_chunked_draws_equal_one_draw(monkeypatch, budget, rows):
 
 
 def test_estimate_sigma_empty_x():
-    est = estimate_sigma(HALF_PAIR, (), (0, 1), samples=64, rng=stream(0, "t"))
-    assert est.mean == 0.0 and est.std_error == 0.0 and est.samples == 64
+    # with no provider, or no consumer, nobody can seed: zero without a draw
+    for X, Y in (((), (0, 1)), ((0,), ())):
+        rng = CountingRng(0)
+        est = estimate_sigma(HALF_PAIR, X, Y, samples=64, rng=rng)
+        assert (est.mean, est.std_error, est.samples) == (0.0, 0.0, 64)
+        assert rng.calls == 0
 
 
 def test_estimate_sigma_deterministic_three_chain():

@@ -63,6 +63,30 @@ def test_rank_r_parameter_validation():
         gen_rank_r(3, 3, 1, bit_precision=4, seed=1)
 
 
+def loop_random_digraph(m, edge_count, rng, prob_high=0.5):
+    """Reference: the per-edge loop random_digraph replaced, same draws."""
+    if edge_count == 0:
+        return ()
+    codes = rng.choice(m * (m - 1), size=edge_count, replace=False)
+    probs = prob_high * (1.0 - rng.random(edge_count))
+    edges = []
+    for code, p in zip(sorted(int(c) for c in codes), probs):
+        u, rest = divmod(code, m - 1)
+        w = rest + (rest >= u)
+        edges.append((u, w, float(p)))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize(
+    "m, edge_count, seed", [(2, 0, 0), (2, 1, 1), (2, 2, 2), (5, 20, 3), (9, 17, 4), (300, 5000, 5)]
+)
+def test_random_digraph_matches_loop_reference(m, edge_count, seed):
+    got = random_digraph(m, edge_count, stream(seed, "t"))
+    want = loop_random_digraph(m, edge_count, stream(seed, "t"))
+    assert got == want
+    assert [tuple(map(type, e)) for e in got] == [(int, int, float)] * edge_count
+
+
 def test_random_digraph_impossible_count():
     with pytest.raises(ValueError, match="cannot place"):
         random_digraph(3, 7, stream(0, "t"))
