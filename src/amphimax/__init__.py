@@ -38,8 +38,8 @@ from .instance import (
     serialize_instance,
     validate,
 )
-from .net import EpsilonNet, NetSizeError, build_grid, build_net, build_weak_net, covering_point
-from .relaxation import concave_relaxation, indicator, initial_activation, net_relaxation
+from .net import EpsilonNet, NetSizeError, build_grid, build_net
+from .relaxation import indicator, initial_activation, net_relaxation
 from .sdg import SdgConfig, SeedSolution, approximation_ratio, brute_force_opt, solve
 
 __all__ = [
@@ -57,9 +57,6 @@ __all__ = [
     "brute_force_opt",
     "build_grid",
     "build_net",
-    "build_weak_net",
-    "concave_relaxation",
-    "covering_point",
     "default_sample_count",
     "dump_json",
     "estimate_sigma",

@@ -16,7 +16,7 @@ from .instance import (
     numerical_rank,
     parse_instance,
 )
-from .net import NetSizeError, build_net
+from .net import MAX_NET_POINTS, NetSizeError, build_net
 from .sdg import SdgConfig, approximation_ratio, solve
 
 
@@ -182,7 +182,7 @@ def _build_parser():
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--samples", type=int, default=None, help="override per-evaluation sample count")
-    p.add_argument("--max-net-points", type=int, default=200_000)
+    p.add_argument("--max-net-points", type=int, default=MAX_NET_POINTS)
     p.add_argument("--report", default=None, help="write per-net-point rows here")
     p.set_defaults(func=_cmd_solve)
 

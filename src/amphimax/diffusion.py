@@ -1,5 +1,6 @@
 """Cascade sampling, spread estimation, and exact oracles for small instances."""
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,11 +49,13 @@ def _edge_arrays(instance):
     that order, and `heads[k]` the target whose edges start at row `cuts[k]`.
     """
     edges = instance.social_edges
-    dst = np.array([e[1] for e in edges], dtype=np.intp)
-    prob = np.array([e[2] for e in edges], dtype=float)
+    # one pass over all triples (np.array on the tuples converts slower); consumer
+    # indices are far below 2**53, so they round-trip through float exactly
+    flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=float, count=3 * len(edges))
+    src, dst, prob = flat.reshape(-1, 3).T.copy()
     order = np.argsort(dst, kind="stable")
-    src = np.array([e[0] for e in edges], dtype=np.intp)[order]
-    heads, cuts = np.unique(dst[order], return_index=True)
+    src = src.astype(np.intp)[order]
+    heads, cuts = np.unique(dst[order].astype(np.intp), return_index=True)
     return src, prob, order, heads, cuts
 
 

@@ -214,28 +214,52 @@ def min_bit_precision(M):
     return lam
 
 
+# int(), float() and np.array(dtype=float) also take JSON true, false and
+# numeric strings; a JSON number loads as exactly an int or a float
+_NUMBER_TYPES = frozenset((int, float))
+_JSON_KINDS = {bool: "a boolean", str: "a string", type(None): "null", list: "an array", dict: "an object"}
+
+
+def _not_a(kind, field, value):
+    """InstanceFormatError saying `field` must be `kind`, and what it loaded as instead."""
+    loaded = _JSON_KINDS.get(type(value), type(value).__name__)
+    return InstanceFormatError(f"{field} must be {kind}, got {loaded}")
+
+
 def _integer(value, field):
     """`value` as an int, or InstanceFormatError naming `field` if it is not a whole number."""
-    # JSON true and false load as bools, which int() would take as 1 and 0
-    if isinstance(value, bool):
-        raise InstanceFormatError(f"{field} must be an integer, got a boolean")
+    if type(value) not in _NUMBER_TYPES:
+        raise _not_a("an integer", field, value)
     try:
         whole = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"{field} must be an integer: {exc}") from exc
-    if isinstance(value, float) and whole != value:
+    if whole != value:
         raise InstanceFormatError(f"{field} must be an integer, got {value!r}")
     return whole
 
 
+def _number(value, field):
+    """`value` as a float, or InstanceFormatError naming `field` if it is not a JSON number."""
+    if type(value) not in _NUMBER_TYPES:
+        raise _not_a("a number", field, value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InstanceFormatError(f"{field} must be a number: {exc}") from exc
+
+
 def _float_matrix(rows, field):
-    """`rows` as a float array, or InstanceFormatError naming `field` if non-numeric, boolean or ragged."""
+    """`rows` as a float array, or InstanceFormatError naming `field` if not numbers or ragged."""
     try:
         mat = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"{field} must be a matrix of numbers: {exc}") from exc
-    if mat.ndim == 2 and any(bool in map(type, row) for row in rows):
-        raise InstanceFormatError(f"{field} must be a matrix of numbers, got a boolean")
+    if mat.ndim == 2:
+        for row in rows:
+            if not _NUMBER_TYPES.issuperset(map(type, row)):
+                bad = next(v for v in row if type(v) not in _NUMBER_TYPES)
+                raise _not_a("a matrix of numbers", field, bad)
     return mat
 
 
@@ -309,12 +333,9 @@ def parse_instance(text):
         if type(u) is not int or type(w) is not int:
             u = _integer(u, f"social_edges[{k}] source")
             w = _integer(w, f"social_edges[{k}] target")
-        if isinstance(e[2], bool):
-            raise InstanceFormatError(f"social_edges[{k}] probability must be a number, got a boolean")
-        try:
-            p = float(e[2])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InstanceFormatError(f"social_edges[{k}] probability must be a number: {exc}") from exc
+        p = e[2]
+        if type(p) is not float:
+            p = _number(p, f"social_edges[{k}] probability")
         edges.append((u, w, p))
     budgets = doc["budgets"]
     if not isinstance(budgets, dict):

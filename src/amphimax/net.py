@@ -6,40 +6,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import min_bit_precision
-
 DET_TOL = 1e-10
 DEDUP_TOL = 1e-12
 NOISE_TOL = 1e-9
-DEFAULT_CELL_CAP = 10**8
+# net points a build may return unless the caller passes another cap
+MAX_NET_POINTS = 200_000
+# candidate coordinates (candidate points x consumers) a build may hold; no
+# option raises it, only a coarser epsilon shrinks what a net needs
+CELL_CAP = 10**8
 
 
 class NetSizeError(RuntimeError):
-    """Raised when a net would exceed its configured size cap."""
-
-    def __init__(self, count, bound, cap):
-        super().__init__(
-            f"net has {count} points (enumeration bound {bound}), over the cap {cap}; "
-            "raise epsilon or the cap"
-        )
-        self.count = count
-        self.bound = bound
-        self.cap = cap
+    """Raised when a net would pass its point cap or the cell cap."""
 
 
 @dataclass(frozen=True)
 class EpsilonNet:
-    """Finite point set approximating every reachable x^T M coordinate-wise.
+    """Finite point set bracketing every reachable x^T M coordinate-wise.
 
     Points are stored canonically sorted (lexicographic by coordinates) as
-    full vectors in `points`. `one_sided` tells which bracketing guarantee
-    holds: weak nets bracket within (1+eps) on both sides, one-sided nets
-    satisfy s_j <= (x^T M)_j <= (1+eps) s_j.
+    full vectors in `points`; for every provider indicator x some point
+    satisfies s_j <= (x^T M)_j <= (1+eps) s_j.
     """
 
     points: np.ndarray
     epsilon: float
-    one_sided: bool
     rank: int
     grid_size: int
 
@@ -91,47 +82,51 @@ def independent_column_tuples(basis):
             yield combo
 
 
-def _dedup_sorted(points):
+def _canonical(points):
+    """Points sorted lexicographically, each dropped if within DEDUP_TOL of the one before."""
+    points = points[np.lexsort(points.T[::-1])]
     if points.shape[0] <= 1:
         return points
     close = np.abs(np.diff(points, axis=0)).max(axis=1) < DEDUP_TOL
-    keep = np.concatenate(([True], ~close))
-    return points[keep]
+    return points[np.concatenate(([True], ~close))]
 
 
-def _canonical(points):
-    return _dedup_sorted(points[np.lexsort(points.T[::-1])])
+def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
+    """One-sided net: some point brackets every x^T M as s <= x^T M <= (1+eps) s.
 
+    Built as a weak sqrt(1+eps)-net, whose points bracket x^T M within a
+    factor sqrt(1+eps) on both sides, with coordinates then divided by
+    sqrt(1+eps), which turns the symmetric bracket into the one-sided one.
+    Weak candidates come per invertible column tuple of the basis, by pinning
+    those coordinates to grid values and solving for the basis coefficients.
 
-def build_weak_net(M, basis, epsilon, bit_precision=None, cell_cap=DEFAULT_CELL_CAP):
-    """Two-sided multiplicative net over the image of M.
-
-    For every provider indicator x some net point s satisfies
-    s_j/(1+eps) <= (x^T M)_j <= s_j*(1+eps) wherever (x^T M)_j > 0 and stays
-    below the smallest grid rung where it is 0. Candidates are generated per
-    invertible column tuple by pinning those coordinates to grid values and
-    solving for the basis coefficients.
+    The net is sized before it is built: NetSizeError if the candidates
+    would pass CELL_CAP, or if more than `max_points` points survive.
     """
     M = np.asarray(M, dtype=float)
     n, m = M.shape
-    lam = bit_precision if bit_precision is not None else min_bit_precision(M)
-    grid = build_grid(lam, epsilon, n)
+    root = math.sqrt(1.0 + epsilon)
+    weak_eps = root - 1.0
+    grid = build_grid(bit_precision, weak_eps, n)
     r = basis.rank
     if r == 0:
-        return EpsilonNet(
-            points=np.zeros((1, m)),
-            epsilon=epsilon,
-            one_sided=False,
-            rank=0,
-            grid_size=len(grid),
-        )
+        return EpsilonNet(points=np.zeros((1, m)), epsilon=epsilon, rank=0, grid_size=len(grid))
+    # each tuple pins its r coordinates to all grid^r assignments; counting
+    # stops at the tuple that takes the candidates past the cap, before any exist
+    per_tuple = len(grid) ** r
+    tuples = []
+    for combo in independent_column_tuples(basis):
+        tuples.append(combo)
+        if len(tuples) * per_tuple * m > CELL_CAP:
+            raise NetSizeError(
+                f"net needs at least {len(tuples) * per_tuple} candidate points "
+                f"({len(grid)}^{r} per column tuple; column tuples counted: {len(tuples)}) "
+                f"of {m} coordinates each, over the build limit of {CELL_CAP} cells; raise epsilon"
+            )
+    # row order matches itertools.product(grid, repeat=r)
+    assignments = np.stack(np.meshgrid(*([grid] * r), indexing="ij"), axis=-1).reshape(-1, r)
     rows = basis.basis_rows
-    tuples = list(independent_column_tuples(basis))
-    assignments = np.array(list(itertools.product(grid, repeat=r)), dtype=float)
-    if len(tuples) * assignments.shape[0] * m > cell_cap:
-        bound = math.comb(m, r) * len(grid) ** r
-        raise NetSizeError(len(tuples) * assignments.shape[0], bound, cell_cap // m)
-    limit = n * (1.0 + epsilon) + NOISE_TOL
+    limit = n * (1.0 + weak_eps) + NOISE_TOL
     chunks = []
     for combo in tuples:
         block = rows[:, combo]
@@ -142,57 +137,11 @@ def build_weak_net(M, basis, epsilon, bit_precision=None, cell_cap=DEFAULT_CELL_
         pts = pts[keep]
         pts[pts < 0.0] = 0.0
         chunks.append(pts)
-    points = np.vstack(chunks) if chunks else np.zeros((0, m))
-    return EpsilonNet(
-        points=_canonical(points),
-        epsilon=epsilon,
-        one_sided=False,
-        rank=r,
-        grid_size=len(grid),
-    )
-
-
-def build_net(M, basis, epsilon, bit_precision=None, cell_cap=DEFAULT_CELL_CAP):
-    """One-sided net: some point brackets every x^T M as s <= x^T M <= (1+eps) s.
-
-    Built as a weak sqrt(1+eps)-net whose coordinates are then divided by
-    sqrt(1+eps), which turns the symmetric bracket into the one-sided one.
-    """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    root = math.sqrt(1.0 + epsilon)
-    weak = build_weak_net(M, basis, root - 1.0, bit_precision, cell_cap)
-    points = weak.points / root
-    keep = (points <= n + NOISE_TOL).all(axis=1)
-    return EpsilonNet(
-        points=points[keep],
-        epsilon=epsilon,
-        one_sided=True,
-        rank=weak.rank,
-        grid_size=weak.grid_size,
-    )
-
-
-def covering_point(net, target, zero_tol=DEDUP_TOL, slack=1e-12):
-    """Index of the first net point bracketing `target` one-sidedly, or -1.
-
-    A point covers when s_j <= t_j <= (1+eps)*s_j on every coordinate with
-    t_j > 0 and s_j <= zero_tol wherever t_j == 0.
-    """
-    if not net.one_sided:
-        raise ValueError("covering_point needs a one-sided net")
-    t = np.asarray(target, dtype=float).ravel()
-    pts = net.points
-    if t.size != pts.shape[1]:
-        raise ValueError(f"target has length {t.size}, expected {pts.shape[1]}")
-    pos = t > 0.0
-    ok = np.ones(pts.shape[0], dtype=bool)
-    if pos.any():
-        sub = pts[:, pos]
-        tp = t[pos]
-        ok &= (sub <= tp + slack).all(axis=1)
-        ok &= (tp <= (1.0 + net.epsilon) * sub + slack).all(axis=1)
-    if (~pos).any():
-        ok &= (pts[:, ~pos] <= zero_tol).all(axis=1)
-    hits = np.flatnonzero(ok)
-    return int(hits[0]) if hits.size else -1
+    points = _canonical(np.vstack(chunks) if chunks else np.zeros((0, m))) / root
+    points = points[(points <= n + NOISE_TOL).all(axis=1)]
+    if len(points) > max_points:
+        raise NetSizeError(
+            f"net has {len(points)} points (enumeration bound {math.comb(m, r) * per_tuple}), "
+            f"over the cap {max_points}; raise epsilon or the cap (--max-net-points)"
+        )
+    return EpsilonNet(points=points, epsilon=epsilon, rank=r, grid_size=len(grid))

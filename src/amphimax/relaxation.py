@@ -1,4 +1,4 @@
-"""Per-consumer activation objectives: exact product form and exponential surrogates."""
+"""Per-consumer activation objectives: exact product form and the net-point surrogate."""
 
 import numpy as np
 
@@ -39,20 +39,6 @@ def initial_activation(x, y, M):
     # an exact factor of 1, so 0/1 vectors give the product over chosen rows
     miss = np.prod(1.0 - xb[:, None] * M, axis=0)
     return yb * (1.0 - miss)
-
-
-def concave_relaxation(x, y, M):
-    """Exponential surrogate y_j * (1 - exp(-(x^T M)_j)).
-
-    Pointwise sandwich against the exact form f = initial_activation:
-    (1 - 1/e) * f_j <= F_j <= f_j.
-    """
-    M = np.asarray(M, dtype=float)
-    n, m = M.shape
-    xb = _as_bits(x, n, "x")
-    yb = _as_bits(y, m, "y")
-    s = xb @ M
-    return yb * (-np.expm1(-s))
 
 
 def net_relaxation(s, y):

@@ -16,7 +16,7 @@ from .diffusion import (
 )
 from .greedy import greedy_max
 from .instance import InstanceValidationError, numerical_rank, validate
-from .net import NetSizeError, build_net
+from .net import MAX_NET_POINTS, build_net
 from .relaxation import indicator, initial_activation
 
 E_COMPLEMENT = 1.0 - 1.0 / math.e
@@ -37,7 +37,7 @@ class SdgConfig:
     delta: float = 0.01
     samples_per_eval: int = None
     master_seed: int = 0
-    max_net_points: int = 200_000
+    max_net_points: int = MAX_NET_POINTS
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -106,11 +106,8 @@ def solve(instance, config):
     basis = numerical_rank(instance.bipartite)
     if basis.rank > MAX_RANK:
         raise ValueError(f"matrix rank {basis.rank} exceeds the supported max {MAX_RANK}")
-    net = build_net(instance.bipartite, basis, config.epsilon, instance.bit_precision)
+    net = build_net(instance.bipartite, basis, config.epsilon, instance.bit_precision, config.max_net_points)
     count = len(net)
-    if count > config.max_net_points:
-        bound = math.comb(instance.n_consumers, basis.rank) * net.grid_size**basis.rank
-        raise NetSizeError(count, bound, config.max_net_points)
     samples = config.samples_per_eval or _auto_samples(instance, config, count)
     seed = config.master_seed
     n, m = instance.n_providers, instance.n_consumers

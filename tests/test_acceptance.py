@@ -20,14 +20,10 @@ from amphimax.diffusion import estimate_sigma, exact_rho_bar, exact_sigma
 from amphimax.generators import gen_classic_im, gen_planted_biclique, gen_rank_r
 from amphimax.greedy import greedy_max
 from amphimax.instance import numerical_rank, serialize_instance, validate
-from amphimax.net import build_net, covering_point
-from amphimax.relaxation import (
-    concave_relaxation,
-    indicator,
-    initial_activation,
-    net_relaxation,
-)
+from amphimax.net import build_net
+from amphimax.relaxation import indicator, initial_activation, net_relaxation
 from amphimax.sdg import SdgConfig, approximation_ratio, brute_force_opt, solve
+from reference import concave_relaxation, covering_point
 
 E_COMP = 1.0 - 1.0 / math.e
 

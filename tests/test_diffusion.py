@@ -345,6 +345,22 @@ def test_packed_kernel_equals_dense_reference(case, samples):
         assert got == want
 
 
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_edge_arrays_equal_the_per_edge_build(case):
+    edges = KERNEL_CASES[case].social_edges
+    dst = np.array([e[1] for e in edges], dtype=np.intp)
+    order = np.argsort(dst, kind="stable")
+    want = (
+        np.array([e[0] for e in edges], dtype=np.intp)[order],
+        np.array([e[2] for e in edges], dtype=float),
+        order,
+        *np.unique(dst[order], return_index=True),
+    )
+    got = diffusion._edge_arrays.__wrapped__(KERNEL_CASES[case])
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.flags.c_contiguous and np.array_equal(g, w)
+
+
 class CountingRng:
     def __init__(self, seed):
         self.rng, self.calls = np.random.default_rng(seed), 0

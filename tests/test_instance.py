@@ -254,6 +254,50 @@ def test_parse_rejects_booleans(path, field):
         parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("n",), "n must be an integer"),
+        (("m",), "m must be an integer"),
+        (("budgets", "providers"), "budgets.providers must be an integer"),
+        (("budgets", "consumers"), "budgets.consumers must be an integer"),
+        (("bit_precision",), "bit_precision must be an integer"),
+        (("social_edges", 0, 0), "social_edges[0] source must be an integer"),
+        (("social_edges", 0, 1), "social_edges[0] target must be an integer"),
+        (("social_edges", 0, 2), "social_edges[0] probability must be a number"),
+        (("bipartite", "dense", 0, 1), "bipartite.dense must be a matrix of numbers"),
+        (("bipartite", "left", 1, 0), "bipartite.left must be a matrix of numbers"),
+        (("bipartite", "right", 0, 1), "bipartite.right must be a matrix of numbers"),
+    ],
+    ids=[
+        "n",
+        "m",
+        "budgets.providers",
+        "budgets.consumers",
+        "bit_precision",
+        "edge-source",
+        "edge-target",
+        "edge-probability",
+        "matrix-entry",
+        "left-entry",
+        "right-entry",
+    ],
+)
+def test_parse_rejects_numeric_strings(path, field):
+    # each string spells the number that would load in its place
+    doc = doc_for([[0.5, 1.0], [0.5, 0.5]], edges=[(0, 1, 0.25)])
+    if "left" in path or "right" in path:
+        doc["bipartite"] = {"left": [[1.0], [0.5]], "right": [[0.5, 1.0]]}
+    parse_instance(json.dumps(doc))
+    *parents, key = path
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    holder[key] = str(holder[key])
+    with pytest.raises(InstanceFormatError, match=re.escape(f"{field}, got a string")):
+        parse_instance(json.dumps(doc))
+
+
 def test_parse_factored_matrix():
     doc = {
         "n": 2,

