@@ -181,7 +181,12 @@ def _build_parser():
     common(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--samples", type=int, default=None, help="override per-evaluation sample count")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help="override the RR sets per consumer pool and the runs per estimate",
+    )
     p.add_argument("--max-net-points", type=int, default=MAX_NET_POINTS)
     p.add_argument("--report", default=None, help="write per-net-point rows here")
     p.set_defaults(func=_cmd_solve)

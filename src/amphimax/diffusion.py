@@ -59,6 +59,21 @@ def _edge_arrays(instance):
     return src, prob, order, heads, cuts
 
 
+@lru_cache(maxsize=256)
+def _reversed_edges(instance):
+    """Social edges reversed, in the layout of _edge_arrays.
+
+    Edge u -> v becomes v -> u, so `src` holds original targets, `heads` the
+    original sources, and `order` the instance index of each reversed edge.
+    Cached apart from _edge_arrays: only reverse_reachable_pool needs it.
+    """
+    src, prob, order, heads, cuts = _edge_arrays(instance)
+    dst = np.repeat(heads, np.diff(np.append(cuts, src.size)))
+    by_src = np.argsort(src, kind="stable")
+    rev_heads, rev_cuts = np.unique(src[by_src], return_index=True)
+    return dst[by_src], prob, order[by_src], rev_heads, rev_cuts
+
+
 def _word_bytes(runs):
     """Bytes per packed row of `runs` runs, rounded up to whole 64-bit words."""
     return 8 * ((runs + 63) // 64)
@@ -142,6 +157,30 @@ def _batch_spread(instance, init_probs, samples, rng):
     return mean, std_error
 
 
+def reverse_reachable_pool(instance, samples, rng):
+    """Packed reverse-reachable (RR) sets of `samples` independent runs.
+
+    Run k picks a uniform target consumer, flips every social edge once, and
+    collects the consumers that reach the target over live edges (Borgs et
+    al., SODA 2014): one _propagate on the reversed edges, seeded one-hot at
+    the targets, all runs in one call. Bit k of row u of the (m, 8 *
+    ceil(samples/64)) uint8 result, padded as in _pack_runs, is set when u
+    is in RR set k. Seeding each consumer u independently with probability
+    p_u then spreads to m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in
+    expectation.
+    """
+    m = instance.n_consumers
+    targets = rng.integers(0, m, size=samples)
+    runs = np.arange(samples)
+    pool = np.zeros((m, _word_bytes(samples)), dtype=np.uint8)
+    # np.packbits order: run k is bit 7 - k % 8 of byte k // 8
+    np.bitwise_or.at(pool, (targets, runs >> 3), (128 >> (runs & 7)).astype(np.uint8))
+    src, prob, order, heads, cuts = _reversed_edges(instance)
+    if src.size:
+        _propagate(pool, _packed_draws(rng, samples, prob, order), src, heads, cuts)
+    return pool
+
+
 def _sample_count(samples):
     if samples is None:
         return default_sample_count()
@@ -162,10 +201,11 @@ def estimate_sigma(instance, X, Y, samples=None, rng=None, stream_path=None):
 
 
 def estimate_sigma_hat(instance, s, Y, samples=None, rng=None, stream_path=None):
-    """Monte Carlo estimate of the surrogate spread at net point s.
+    """Forward Monte Carlo estimate of the surrogate spread at net point s.
 
     Each consumer in Y starts active independently with probability
-    1 - exp(-s_j), then the cascade runs as usual.
+    1 - exp(-s_j), then the cascade runs as usual. The solver evaluates the
+    surrogate on reverse-reachable pools instead.
     """
     samples = _sample_count(samples)
     rng = rng if rng is not None else stream(0, "sigma_hat")

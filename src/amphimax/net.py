@@ -103,6 +103,8 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
     The net is sized before it is built: NetSizeError if the candidates
     would pass CELL_CAP, or if more than `max_points` points survive.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a positive finite number, got {epsilon}")
     M = np.asarray(M, dtype=float)
     n, m = M.shape
     root = math.sqrt(1.0 + epsilon)

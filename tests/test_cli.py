@@ -147,8 +147,14 @@ def test_exact_index_out_of_range_exits_1(instance_file):
         (("solve", "--epsilon", "0.8", "--samples", "0"), "samples must be at least 1"),
         (("solve", "--epsilon", "nan"), "epsilon must be a positive finite number"),
         (("net", "--epsilon", "nan"), "epsilon must be a positive finite number"),
+        # checked before the weak epsilon sqrt(1 + eps) - 1 is derived from it
+        (("net", "--epsilon", "-0.5"), "epsilon must be a positive finite number, got -0.5\n"),
+        (("net", "--epsilon", "-2"), "epsilon must be a positive finite number, got -2.0\n"),
     ],
-    ids=["simulate-zero", "simulate-negative", "solve-zero", "solve-nan", "net-nan"],
+    ids=[
+        "simulate-zero", "simulate-negative", "solve-zero", "solve-nan",
+        "net-nan", "net-negative", "net-below-minus-one",
+    ],
 )
 def test_bad_sample_counts_and_epsilon_exit_1(instance_file, args, message):
     path, _ = instance_file

@@ -16,7 +16,7 @@ from amphimax.diffusion import (
 )
 from amphimax.generators import gen_rank_r
 from amphimax.instance import AimInstance
-from amphimax.relaxation import indicator, initial_activation
+from amphimax.relaxation import indicator, initial_activation, net_relaxation
 
 
 def make_instance(M, edges=(), b1=1, b2=1, lam=20):
@@ -359,6 +359,92 @@ def test_edge_arrays_equal_the_per_edge_build(case):
     got = diffusion._edge_arrays.__wrapped__(KERNEL_CASES[case])
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.flags.c_contiguous and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_reversed_edges_equal_the_per_edge_build(case):
+    edges = KERNEL_CASES[case].social_edges
+    src = np.array([e[0] for e in edges], dtype=np.intp)
+    dst = np.array([e[1] for e in edges], dtype=np.intp)
+    # edge u -> v becomes v -> u, grouped by u; the graph is simple, so
+    # (u, v) orders the edges completely
+    order = np.lexsort((dst, src))
+    want = (
+        dst[order],
+        np.array([e[2] for e in edges], dtype=float),
+        order,
+        *np.unique(src[order], return_index=True),
+    )
+    got = diffusion._reversed_edges.__wrapped__(KERNEL_CASES[case])
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.flags.c_contiguous and np.array_equal(g, w)
+
+
+def reference_pool(instance, samples, rng):
+    """RR sets as a (m, samples) bool array, one backward search per run.
+
+    Takes the draws reverse_reachable_pool takes: the targets, then one
+    uniform per run and edge, edges in instance order.
+    """
+    m, edges = instance.n_consumers, instance.social_edges
+    targets = rng.integers(0, m, size=samples)
+    live = rng.random((samples, len(edges))) < np.array([e[2] for e in edges]) if edges else None
+    into = [[] for _ in range(m)]
+    for k, (u, v, _) in enumerate(edges):
+        into[v].append((u, k))
+    out = np.zeros((m, samples), dtype=bool)
+    for run, target in enumerate(targets):
+        seen, frontier = {int(target)}, [int(target)]
+        while frontier:
+            frontier = [u for v in frontier for u, k in into[v] if live[run, k] and u not in seen]
+            seen.update(frontier)
+        out[sorted(seen), run] = True
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("samples", [1, 9, 63, 64, 65, 300])
+def test_reverse_reachable_pool_equals_a_backward_search(case, samples):
+    inst = KERNEL_CASES[case]
+    for seed in range(3):
+        pool = diffusion.reverse_reachable_pool(inst, samples, np.random.default_rng(seed))
+        want = reference_pool(inst, samples, np.random.default_rng(seed))
+        assert pool.dtype == np.uint8 and pool.shape == (inst.n_consumers, 8 * ((samples + 63) // 64))
+        bits = np.unpackbits(pool, axis=1)
+        assert np.array_equal(bits[:, :samples], want)
+        assert not bits[:, samples:].any()  # padding stays clear for _propagate
+
+
+def test_pool_surrogate_matches_exact_rho_bar():
+    # sigma_hat(s, Y) = m * E_k[1 - exp(-sum of s over RR_k and Y)] on a pool
+    samples = 4000
+    for k in range(6):
+        inst = gen_rank_r(3, 6, 1, social_edge_count=4 + k, seed=20 + k)
+        pick = np.random.default_rng([k, 5])
+        s = 0.1 + 2.0 * pick.random(6)
+        s[k] = 0.0  # a zero coordinate seeds nobody
+        y = indicator(pick.choice(6, 3, replace=False), 6)
+        pool = diffusion.reverse_reachable_pool(inst, samples, stream(k, "pool-check"))
+        rr = np.unpackbits(pool, axis=1, count=samples).T
+        values = 6.0 * -np.expm1(-(rr @ (s * y)))
+        se = values.std(ddof=1) / math.sqrt(samples)
+        want = exact_rho_bar(inst, net_relaxation(s, y))
+        assert se > 0.0
+        assert abs(values.mean() - want) <= 3.0 * se, (k, values.mean(), want, se)
+
+
+def test_pool_memory_is_bounded_on_a_large_graph():
+    # m=3,000, E=20,000: unpacked, the live edges alone would be E x 4,000
+    # bools (76 MiB) and their uniforms 610 MiB; packed they are 9.8 MiB
+    inst = gen_rank_r(20, 3000, 2, social_edge_count=20000, seed=3)
+    tracemalloc.start()
+    try:
+        pool = diffusion.reverse_reachable_pool(inst, 4000, stream(0, "big-pool"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pool.shape == (3000, 8 * 63)
+    assert peak < 64 * 2**20
 
 
 class CountingRng:

@@ -78,6 +78,13 @@ def test_grid_rejects_bad_parameters():
             build_grid(4, eps, 2)
     with pytest.raises(ValueError, match="bit_precision"):
         build_grid(0, 0.5, 2)
+
+
+def test_net_rejects_the_callers_epsilon_before_deriving_the_weak_one():
+    M = np.array([[0.5, 0.25]])
+    for eps in (0.0, -0.5, -1.0, -2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^epsilon must be a positive finite number, got {eps}$"):
+            build_net(M, numerical_rank(M), eps, bit_precision=2)
     with pytest.raises(ValueError, match="n must be"):
         build_grid(4, 0.5, 0)
 

@@ -4,8 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from amphimax.diffusion import exact_sigma
+from amphimax import sdg
+from amphimax._rng import stream
+from amphimax.diffusion import (
+    DEFAULT_MC_EPS,
+    SpreadEstimate,
+    default_sample_count,
+    exact_sigma,
+    reverse_reachable_pool,
+)
 from amphimax.generators import gen_rank_r
+from amphimax.greedy import greedy_max
 from amphimax.instance import AimInstance, InstanceValidationError
 from amphimax.net import NetSizeError, build_net
 from amphimax.instance import numerical_rank
@@ -209,3 +218,95 @@ def test_solve_reaches_guarantee_on_small_instance():
     assert achieved >= approximation_ratio(eps) * opt - 1e-9
     # greedy should in fact land close to the optimum here
     assert achieved >= 0.9 * opt
+
+
+def _pool_oracle(pool, samples, s):
+    """sigma_hat(s, Y) on the pool, computed from scratch for each Y."""
+    rr = np.unpackbits(pool, axis=1, count=samples).T.astype(float)
+    m = pool.shape[0]
+
+    def oracle(Y):
+        weight = rr[:, list(Y)] @ s[list(Y)] if Y else np.zeros(samples)
+        return SpreadEstimate(m * float(np.mean(-np.expm1(-weight))), 0.0, samples)
+
+    return oracle
+
+
+def test_pool_greedy_matches_greedy_max_on_the_same_pool():
+    for k in range(12):
+        inst = gen_rank_r(2, 9, 1, social_edge_count=6 + k, seed=40 + k)
+        pick = np.random.default_rng([k, 3])
+        s = 0.05 + pick.random(9)
+        # ties: two zero coordinates, and a copy of consumer 1's RR row and
+        # s in consumer 6, so that greedy_max must break them the same way
+        s[[2, 7]] = 0.0
+        s[6] = s[1]
+        samples = 64 * (k + 1) + k
+        pool = reverse_reachable_pool(inst, samples, stream(k, "greedy-check"))
+        pool[6] = pool[1]
+        budget = 1 + k % 8  # greedy_max returns the whole ground set at 9
+        picks, evaluations = sdg._pool_greedy(pool, samples, s, budget)
+        want, _ = greedy_max(_pool_oracle(pool, samples, s), range(9), budget)
+        assert picks == want
+        assert evaluations == sum(9 - t for t in range(budget)) <= 9 * budget + 9 + 1
+
+
+def test_pool_greedy_gains_in_row_chunks(monkeypatch):
+    inst = gen_rank_r(2, 9, 1, social_edge_count=12, seed=4)
+    s = np.linspace(0.1, 1.7, 9)
+    pool = reverse_reachable_pool(inst, 500, stream(0, "chunks"))
+    whole = sdg._pool_greedy(pool, 500, s, 4)
+    # 2 consumer rows of 500 floats per chunk
+    monkeypatch.setattr(sdg, "DRAW_BUDGET", 2 * 8 * 500)
+    assert sdg._pool_greedy(pool, 500, s, 4) == whole
+
+
+def test_sample_counts_follow_the_union_bounds():
+    inst = gen_rank_r(4, 3, 1, social_edge_count=2, seed=3, budget_providers=2, budget_consumers=2)
+    config = SdgConfig(epsilon=0.5, delta=0.01)
+    half = config.delta / 2.0
+    pool, samples = sdg._auto_samples(inst, config, 73)
+    # the pools: every consumer set of size b2, plus one, at each of 73 points
+    assert pool == default_sample_count(delta=half / (73 * (math.comb(3, 2) + 1)))
+    # the provider phase and the final estimates: their own terms alone
+    assert samples == default_sample_count(delta=half / (73 * (4 + 1 + 2 * 4 + 1)))
+
+    # C(3000, 1500) is past the float range: half / C raises OverflowError
+    big = make_instance(np.full((1, 3000), 0.5), b1=1, b2=1500, lam=1)
+    with pytest.raises(OverflowError):
+        half / math.comb(3000, 1500)
+    pool, samples = sdg._auto_samples(big, config, 5)
+    log_terms = math.log(5) + math.log(math.comb(3000, 1500) + 1)
+    want = math.ceil((math.log(2.0 / half) + log_terms) / (2.0 * DEFAULT_MC_EPS**2))
+    assert pool == want and 400_000 < pool < 500_000
+    assert samples == default_sample_count(delta=half / (5 * 4))
+
+
+def test_samples_sets_the_pool_size_too(monkeypatch):
+    inst = gen_rank_r(3, 4, 1, social_edge_count=3, factor_low=0.3, seed=8)
+    sizes = []
+
+    def counting_pool(instance, samples, rng):
+        sizes.append(samples)
+        return reverse_reachable_pool(instance, samples, rng)
+
+    monkeypatch.setattr(sdg, "reverse_reachable_pool", counting_pool)
+    _, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
+    assert sizes == [50] * len(report)
+
+
+def test_all_consumers_budget_draws_no_pool(monkeypatch):
+    inst = gen_rank_r(3, 3, 1, social_edge_count=2, seed=3, budget_consumers=3)
+    monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *a: pytest.fail("pool drawn at b2 = m"))
+    sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
+    assert sol.consumers == (0, 1, 2)
+    assert all(row["evaluations_y"] == 0 for row in report)
+
+
+def test_independent_pools_reach_the_optimum_on_instance_518():
+    # one pool shared by all net points ranked consumer 3 above consumer 2
+    # here, and every net point inherited the error (sigma/OPT 0.942)
+    inst = gen_rank_r(3, 4, 1, social_edge_count=2, factor_low=0.3, bit_precision=4, seed=518)
+    sol, _ = solve(inst, SdgConfig(epsilon=0.3, master_seed=18))
+    assert (sol.providers, sol.consumers) == ((1,), (2,))
+    assert brute_force_opt(inst)[:2] == ((1,), (2,))
