@@ -41,7 +41,11 @@ def _load_instance(path):
 
 
 def _manifest(args, checksum, elapsed_ms):
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    # only settings that took effect: no unset options, and no delta when
+    # --samples replaces the sample counts delta would size
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+    if "samples" in config:
+        config.pop("delta", None)
     return {
         "command": args.command,
         "config": config,
@@ -56,18 +60,15 @@ def _emit(args, payload, checksum, started):
     text = _dump(payload)
     elapsed_ms = round(1000.0 * (time.perf_counter() - started), 3)
     sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
+        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(_dump(_manifest(args, checksum, elapsed_ms)))
     print(f"done in {elapsed_ms} ms", file=sys.stderr)
 
 
-def _cmd_solve(args):
-    started = time.perf_counter()
-    instance, checksum = _load_instance(args.instance)
+def _cmd_solve(args, instance):
     config = SdgConfig(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -76,7 +77,10 @@ def _cmd_solve(args):
         max_net_points=args.max_net_points,
     )
     solution, report = solve(instance, config)
-    payload = {
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(_dump(report))
+    return {
         "providers": list(solution.providers),
         "consumers": list(solution.consumers),
         "value": solution.value.mean,
@@ -84,16 +88,9 @@ def _cmd_solve(args):
         "net_size": len(report),
         "rank": solution.rank,
     }
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(_dump(report))
-    _emit(args, payload, checksum, started)
-    return 0
 
 
-def _cmd_simulate(args):
-    started = time.perf_counter()
-    instance, checksum = _load_instance(args.instance)
+def _cmd_simulate(args, instance):
     est = estimate_sigma(
         instance,
         _parse_indices(args.x),
@@ -101,33 +98,23 @@ def _cmd_simulate(args):
         args.samples,
         stream(args.seed, "simulate"),
     )
-    payload = {"mean": est.mean, "std_error": est.std_error, "samples": est.samples}
-    _emit(args, payload, checksum, started)
-    return 0
+    return {"mean": est.mean, "std_error": est.std_error, "samples": est.samples}
 
 
-def _cmd_exact(args):
-    started = time.perf_counter()
-    instance, checksum = _load_instance(args.instance)
+def _cmd_exact(args, instance):
     value = exact_sigma(instance, _parse_indices(args.x), _parse_indices(args.y))
-    payload = {"mean": value, "std_error": 0.0, "samples": 0}
-    _emit(args, payload, checksum, started)
-    return 0
+    return {"mean": value, "std_error": 0.0, "samples": 0}
 
 
-def _cmd_net(args):
-    started = time.perf_counter()
-    instance, checksum = _load_instance(args.instance)
+def _cmd_net(args, instance):
     basis = numerical_rank(instance.bipartite)
     net = build_net(instance.bipartite, basis, args.epsilon, instance.bit_precision)
-    payload = {
+    return {
         "r": basis.rank,
         "grid_size": net.grid_size,
         "count": len(net),
-        "points": [[float(v) for v in p] for p in net.points],
+        "points": net.points.tolist(),
     }
-    _emit(args, payload, checksum, started)
-    return 0
 
 
 def _parse_params(text):
@@ -146,20 +133,13 @@ def _parse_params(text):
     return params
 
 
-def _cmd_gen(args):
+def _cmd_gen(args, _):
     from .generators import gen_from_params
 
-    started = time.perf_counter()
     instance, extras = gen_from_params(args.family, _parse_params(args.params), args.seed)
     doc = _instance_doc(instance)
     doc.update(extras)
-    _emit(args, doc, None, started)
-    return 0
-
-
-def _cmd_ratio(args):
-    print(f"{approximation_ratio(args.epsilon):.10g}")
-    return 0
+    return doc
 
 
 def _build_parser():
@@ -218,7 +198,6 @@ def _build_parser():
 
     p = sub.add_parser("ratio", help="print the worst-case approximation ratio for epsilon")
     p.add_argument("--epsilon", type=float, required=True)
-    p.set_defaults(func=_cmd_ratio)
 
     return parser
 
@@ -227,7 +206,14 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "ratio":
+            print(f"{approximation_ratio(args.epsilon):.10g}")
+            return 0
+        # the time covers reading the instance and writing the result
+        started = time.perf_counter()
+        instance, checksum = _load_instance(args.instance) if "instance" in args else (None, None)
+        _emit(args, args.func(args, instance), checksum, started)
+        return 0
     except (
         InstanceFormatError,
         InstanceValidationError,

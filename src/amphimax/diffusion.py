@@ -17,13 +17,14 @@ DEFAULT_MC_DELTA = 0.01
 DRAW_BUDGET = 1 << 24
 
 
-def default_sample_count(mc_eps=DEFAULT_MC_EPS, delta=DEFAULT_MC_DELTA):
-    """Sample count for additive error mc_eps (of the consumer count) at confidence 1-delta.
+def default_sample_count(delta=DEFAULT_MC_DELTA, log_terms=0.0):
+    """Hoeffding sample count for exp(log_terms) estimates of a spread in [0, m].
 
-    Hoeffding on spread/m in [0,1]: ceil(ln(2/delta) / (2 mc_eps^2)). The
-    defaults give 1060.
+    All of them land within DEFAULT_MC_EPS * m of their means, except with
+    probability at most delta: ceil((ln(2/delta) + log_terms) / (2 eps^2)).
+    The defaults, one estimate at delta 0.01, give 1060.
     """
-    return math.ceil(math.log(2.0 / delta) / (2.0 * mc_eps * mc_eps))
+    return math.ceil((math.log(2.0 / delta) + log_terms) / (2.0 * DEFAULT_MC_EPS * DEFAULT_MC_EPS))
 
 
 @dataclass(frozen=True)

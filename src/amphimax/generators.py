@@ -160,41 +160,59 @@ def gen_three_layer(k, groups, bottom_per_group, middle_per_group=1, seed=0):
     )
 
 
+# the parameter keys of each family: (required, optional)
+_FAMILY_PARAMS = {
+    "rank_r": (("n", "m", "r"), ("edge_prob", "social_edges", "b1", "b2", "factor_low", "bit_precision")),
+    "planted": (("n", "k"), ()),
+    "classic_im": (("m", "b2"), ("edge_count",)),
+    "three_layer": (("k", "groups"), ("bottom", "middle")),
+}
+
+
 def gen_from_params(family, params, seed):
     """Build an instance from a flat parameter dict; returns (instance, extras).
 
     extras holds generator metadata worth keeping with the emitted document,
-    currently only the planted vertex set of the planted family.
+    currently only the planted vertex set of the planted family. A key the
+    family does not accept, or a required key left out, raises ValueError.
     """
-    p = dict(params)
+    if family not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown family: {family}")
+    required, optional = _FAMILY_PARAMS[family]
+    unknown = [key for key in params if key not in required + optional]
+    missing = [key for key in required if key not in params]
+    if unknown or missing:
+        problem = f"unknown parameter {unknown[0]!r}" if unknown else f"missing parameter {missing[0]!r}"
+        raise ValueError(
+            f"{problem} for family {family}"
+            f" (required: {', '.join(required)}; optional: {', '.join(optional) or 'none'})"
+        )
     if family == "rank_r":
         inst = gen_rank_r(
-            n=int(p.pop("n")),
-            m=int(p.pop("m")),
-            r=int(p.pop("r")),
-            edge_prob=float(p.pop("edge_prob", 1.0)),
-            social_edge_count=int(p.pop("social_edges", 0)),
+            n=int(params["n"]),
+            m=int(params["m"]),
+            r=int(params["r"]),
+            edge_prob=float(params.get("edge_prob", 1.0)),
+            social_edge_count=int(params.get("social_edges", 0)),
             seed=seed,
-            budget_providers=int(p["b1"]) if "b1" in p else None,
-            budget_consumers=int(p["b2"]) if "b2" in p else None,
-            factor_low=float(p.pop("factor_low", 0.0)),
-            bit_precision=int(p["bit_precision"]) if "bit_precision" in p else None,
+            budget_providers=int(params["b1"]) if "b1" in params else None,
+            budget_consumers=int(params["b2"]) if "b2" in params else None,
+            factor_low=float(params.get("factor_low", 0.0)),
+            bit_precision=int(params["bit_precision"]) if "bit_precision" in params else None,
         )
         return inst, {}
     if family == "planted":
-        inst, planted = gen_planted_biclique(int(p["n"]), int(p["k"]), seed=seed)
+        inst, planted = gen_planted_biclique(int(params["n"]), int(params["k"]), seed=seed)
         return inst, {"planted": list(planted)}
     if family == "classic_im":
-        m = int(p["m"])
-        edges = random_digraph(m, int(p.get("edge_count", 0)), stream(seed, "classic_im", m))
-        return gen_classic_im(edges, m, int(p["b2"]), seed=seed), {}
-    if family == "three_layer":
-        inst = gen_three_layer(
-            k=int(p["k"]),
-            groups=int(p["groups"]),
-            bottom_per_group=int(p.get("bottom", 1)),
-            middle_per_group=int(p.get("middle", 1)),
-            seed=seed,
-        )
-        return inst, {}
-    raise ValueError(f"unknown family: {family}")
+        m = int(params["m"])
+        edges = random_digraph(m, int(params.get("edge_count", 0)), stream(seed, "classic_im", m))
+        return gen_classic_im(edges, m, int(params["b2"]), seed=seed), {}
+    inst = gen_three_layer(
+        k=int(params["k"]),
+        groups=int(params["groups"]),
+        bottom_per_group=int(params.get("bottom", 1)),
+        middle_per_group=int(params.get("middle", 1)),
+        seed=seed,
+    )
+    return inst, {}

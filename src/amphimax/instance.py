@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -394,81 +392,14 @@ def serialize_instance(instance):
 
 
 def dump_json(obj):
-    """Exactly the text of ``json.dumps(obj, indent=2, sort_keys=True)``.
+    """The one-line JSON text of obj, keys sorted: ``json.dumps(obj, sort_keys=True)``.
 
-    json uses its C encoder only without an indent, so the indented form goes
-    through the pure-Python one; this builds the same text from string joins,
-    with one join per list of floats (a matrix row) and one format string per
-    [int, int, float] row (a social edge).
+    Without an indent json runs its C encoder. Floats keep their exact repr,
+    and NaN and +-inf are written as NaN, Infinity and -Infinity.
 
     Raises
     ------
     TypeError
         When a value is not a str, int, float, bool, None, list, tuple or dict.
     """
-    return _encode(obj, "\n")
-
-
-def _encode(value, newline):
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + _items(value, inner) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        members = (
-            encode_basestring_ascii(key if isinstance(key, str) else _scalar(key)) + ": " + _encode(v, inner)
-            for key, v in sorted(value.items())
-        )
-        return "{" + inner + ("," + inner).join(members) + newline + "}"
-    return _scalar(value)
-
-
-def _items(items, inner):
-    """The items of a non-empty list, one per line at indent `inner`, comma-separated."""
-    sep = "," + inner
-    text = None
-    if type(items[0]) is float:
-        try:
-            text = sep.join(map(float.__repr__, items))
-        except TypeError:  # not every item is a float
-            pass
-    elif all(
-        type(e) in (list, tuple) and len(e) == 3
-        and type(e[0]) is int and type(e[1]) is int and type(e[2]) is float
-        for e in items
-    ):
-        deeper = inner + "  "
-        row = f"[{deeper}%d,{deeper}%d,{deeper}%r{inner}]"
-        text = sep.join([row % (u, w, p) for u, w, p in items])
-    # the repr of an int or a finite float has no "n"; nan and inf do, and
-    # json spells them NaN, Infinity and -Infinity
-    if text is None or "n" in text:
-        text = sep.join([_encode(v, inner) for v in items])
-    return text
-
-
-def _scalar(value):
-    """json's spelling of None, a bool, an int or a float."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return json.dumps(obj, sort_keys=True)

@@ -8,9 +8,9 @@ import numpy as np
 
 from ._rng import stream
 from .diffusion import (
-    DEFAULT_MC_EPS,
     DRAW_BUDGET,
     SpreadEstimate,
+    default_sample_count,
     estimate_sigma,
     estimate_sigma_hat,  # noqa: F401 -- unused here; the traced benchmark wraps this name
     exact_rho_bar,
@@ -75,15 +75,6 @@ def approximation_ratio(epsilon):
     return (E_COMPLEMENT - epsilon) ** 3
 
 
-def _hoeffding_samples(log_terms, delta):
-    """Hoeffding sample count for exp(log_terms) estimates in [0, m].
-
-    All of them land within DEFAULT_MC_EPS * m of their means, except with
-    probability at most delta.
-    """
-    return math.ceil((math.log(2.0 / delta) + log_terms) / (2.0 * DEFAULT_MC_EPS * DEFAULT_MC_EPS))
-
-
 def _auto_samples(instance, config, net_size):
     """(pool size, per-estimate sample count), each Hoeffding-sized for its own phase.
 
@@ -99,7 +90,7 @@ def _auto_samples(instance, config, net_size):
     pool_terms = math.log(net_size) + log_sets + math.log1p(math.exp(-log_sets))
     x_terms = math.log(max(1, net_size * (n + 1 + b1 * n + 1)))
     half = config.delta / 2.0
-    return _hoeffding_samples(pool_terms, half), _hoeffding_samples(x_terms, half)
+    return default_sample_count(half, pool_terms), default_sample_count(half, x_terms)
 
 
 def _pool_greedy(pool, samples, s, budget):

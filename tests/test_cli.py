@@ -108,8 +108,17 @@ def test_elapsed_time_includes_encoding(tmp_path, monkeypatch, capsys):
 
 
 def test_gen_bad_params_exit_1():
-    assert run_cli("gen", "--family", "rank_r", "--params", "n=4").returncode == 1
-    assert run_cli("gen", "--family", "rank_r", "--params", "nope").returncode == 1
+    for family, params, message in [
+        ("rank_r", "n=4", "missing parameter 'm'"),
+        ("rank_r", "nope", "parameters are K=V pairs"),
+        # misspelled keys: the real ones are social_edges and edge_count
+        ("rank_r", "n=4,m=3,r=1,social_edge=6", "unknown parameter 'social_edge'"),
+        ("classic_im", "m=5,b2=2,edges=4", "unknown parameter 'edges'"),
+    ]:
+        proc = run_cli("gen", "--family", family, "--params", params)
+        assert proc.returncode == 1, params
+        assert proc.stderr.startswith("error: " + message) and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_simulate_shape_and_determinism(instance_file):
@@ -200,9 +209,20 @@ def test_solve_payload_out_and_manifest(instance_file, tmp_path):
     assert manifest["instance_checksum"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert manifest["elapsed_ms"] >= 0
     assert "threads" not in manifest and "threads" not in manifest["config"]
+    # --samples replaces the sample counts delta would size, and unset options are left out
+    assert manifest["config"]["samples"] == 80 and "delta" not in manifest["config"]
+    assert None not in manifest["config"].values()
     rows = json.loads(report.read_text())
     assert len(rows) == doc["net_size"]
     assert rows[0]["net_point_index"] == 0
+
+    # without --samples, delta sizes the samples and is recorded; unset options are not
+    auto = tmp_path / "auto.json"
+    proc = run_cli("solve", "--instance", str(path), "--epsilon", "0.8", "--out", str(auto))
+    assert proc.returncode == 0
+    config = json.loads((tmp_path / "auto.json.manifest.json").read_text())["config"]
+    assert config["delta"] == 0.01
+    assert "samples" not in config and "report" not in config
 
 
 def test_solve_deterministic_across_runs(instance_file):

