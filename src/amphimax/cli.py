@@ -126,10 +126,13 @@ def _parse_params(text):
         if "=" not in part:
             raise ValueError(f"parameters are K=V pairs, got {part!r}")
         key, value = part.split("=", 1)
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"parameter {key!r} given twice")
         try:
-            params[key.strip()] = int(value)
+            params[key] = int(value)
         except ValueError:
-            params[key.strip()] = float(value)
+            params[key] = float(value)
     return params
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from ._rng import stream
-from .instance import AimInstance, min_bit_precision
+from .instance import AimInstance, InstanceValidationError, _budget_violations, _integer, min_bit_precision
 
 
 def random_digraph(m, edge_count, rng, prob_high=0.5):
@@ -64,8 +64,8 @@ def gen_rank_r(
         n_consumers=m,
         bipartite=M,
         social_edges=edges,
-        budget_providers=budget_providers or max(1, n // 3),
-        budget_consumers=budget_consumers or max(1, m // 3),
+        budget_providers=max(1, n // 3) if budget_providers is None else budget_providers,
+        budget_consumers=max(1, m // 3) if budget_consumers is None else budget_consumers,
         bit_precision=lam,
     )
 
@@ -167,6 +167,8 @@ _FAMILY_PARAMS = {
     "classic_im": (("m", "b2"), ("edge_count",)),
     "three_layer": (("k", "groups"), ("bottom", "middle")),
 }
+# the keys that take real values; every other key is a count
+_REAL_PARAMS = ("edge_prob", "factor_low")
 
 
 def gen_from_params(family, params, seed):
@@ -174,7 +176,9 @@ def gen_from_params(family, params, seed):
 
     extras holds generator metadata worth keeping with the emitted document,
     currently only the planted vertex set of the planted family. A key the
-    family does not accept, or a required key left out, raises ValueError.
+    family does not accept, a required key left out, a count key whose value
+    is not a whole number, or a budget outside 1..size of its side raises
+    ValueError.
     """
     if family not in _FAMILY_PARAMS:
         raise ValueError(f"unknown family: {family}")
@@ -187,32 +191,40 @@ def gen_from_params(family, params, seed):
             f"{problem} for family {family}"
             f" (required: {', '.join(required)}; optional: {', '.join(optional) or 'none'})"
         )
+    params = {
+        key: float(value) if key in _REAL_PARAMS else _integer(value, f"parameter {key!r}")
+        for key, value in params.items()
+    }
+    extras = {}
     if family == "rank_r":
         inst = gen_rank_r(
-            n=int(params["n"]),
-            m=int(params["m"]),
-            r=int(params["r"]),
-            edge_prob=float(params.get("edge_prob", 1.0)),
-            social_edge_count=int(params.get("social_edges", 0)),
+            n=params["n"],
+            m=params["m"],
+            r=params["r"],
+            edge_prob=params.get("edge_prob", 1.0),
+            social_edge_count=params.get("social_edges", 0),
             seed=seed,
-            budget_providers=int(params["b1"]) if "b1" in params else None,
-            budget_consumers=int(params["b2"]) if "b2" in params else None,
-            factor_low=float(params.get("factor_low", 0.0)),
-            bit_precision=int(params["bit_precision"]) if "bit_precision" in params else None,
+            budget_providers=params.get("b1"),
+            budget_consumers=params.get("b2"),
+            factor_low=params.get("factor_low", 0.0),
+            bit_precision=params.get("bit_precision"),
         )
-        return inst, {}
-    if family == "planted":
-        inst, planted = gen_planted_biclique(int(params["n"]), int(params["k"]), seed=seed)
-        return inst, {"planted": list(planted)}
-    if family == "classic_im":
-        m = int(params["m"])
-        edges = random_digraph(m, int(params.get("edge_count", 0)), stream(seed, "classic_im", m))
-        return gen_classic_im(edges, m, int(params["b2"]), seed=seed), {}
-    inst = gen_three_layer(
-        k=int(params["k"]),
-        groups=int(params["groups"]),
-        bottom_per_group=int(params.get("bottom", 1)),
-        middle_per_group=int(params.get("middle", 1)),
-        seed=seed,
-    )
-    return inst, {}
+    elif family == "planted":
+        inst, planted = gen_planted_biclique(params["n"], params["k"], seed=seed)
+        extras = {"planted": list(planted)}
+    elif family == "classic_im":
+        m = params["m"]
+        edges = random_digraph(m, params.get("edge_count", 0), stream(seed, "classic_im", m))
+        inst = gen_classic_im(edges, m, params["b2"], seed=seed)
+    else:
+        inst = gen_three_layer(
+            k=params["k"],
+            groups=params["groups"],
+            bottom_per_group=params.get("bottom", 1),
+            middle_per_group=params.get("middle", 1),
+            seed=seed,
+        )
+    violations = _budget_violations(inst)
+    if violations:
+        raise InstanceValidationError(violations)
+    return inst, extras

@@ -152,14 +152,20 @@ def validate(instance):
         if (u, w) in seen:
             v.append(f"duplicate edge ({u},{w}) at index {k}")
         seen.add((u, w))
-    if instance.budget_providers < 1:
-        v.append(f"provider budget must be at least 1, got {instance.budget_providers}")
-    elif instance.budget_providers > n:
-        v.append(f"provider budget exceeds ground set ({instance.budget_providers} > {n})")
-    if instance.budget_consumers < 1:
-        v.append(f"consumer budget must be at least 1, got {instance.budget_consumers}")
-    elif instance.budget_consumers > m:
-        v.append(f"consumer budget exceeds ground set ({instance.budget_consumers} > {m})")
+    return v + _budget_violations(instance)
+
+
+def _budget_violations(instance):
+    """The part of validate that checks the two budgets against their ground sets."""
+    v = []
+    for side, budget, size in (
+        ("provider", instance.budget_providers, instance.n_providers),
+        ("consumer", instance.budget_consumers, instance.n_consumers),
+    ):
+        if budget < 1:
+            v.append(f"{side} budget must be at least 1, got {budget}")
+        elif budget > size:
+            v.append(f"{side} budget exceeds ground set ({budget} > {size})")
     return v
 
 

@@ -57,8 +57,9 @@ class SdgConfig:
 class SeedSolution:
     """Chosen provider and consumer sets with a fresh estimate of their spread.
 
-    net_point_index is the net point whose greedy run produced the sets; rank
-    is the numerical rank of the bipartite matrix.
+    net_point_index is the first net point whose consumer greedy picked the
+    consumer set, the one that ran the provider phase for it; rank is the
+    numerical rank of the bipartite matrix.
     """
 
     providers: tuple
@@ -139,15 +140,44 @@ def _pick_consumers(instance, s, samples, rng_path):
     return _pool_greedy(pool, samples, s, b2)
 
 
+def _pick_providers(instance, y_set, samples, seed, i):
+    """Provider phase for consumer set y_set, run at net point i.
+
+    Every oracle call of the greedy draws from the one stream (seed, "x", i),
+    so the candidate sets it compares share their random numbers (common
+    random numbers): the noise in a marginal gain is then that of one
+    difference, not of two independent estimates. The pair is then
+    re-estimated at FINAL_FACTOR times the samples on (seed, "final", i).
+    Returns (providers, oracle calls, final estimate).
+    """
+    x_path = (seed, "x", i)
+
+    def x_oracle(S):
+        return estimate_sigma(instance, S, y_set, samples, stream(*x_path), stream_path=x_path)
+
+    x_set, x_trace = greedy_max(x_oracle, range(instance.n_providers), instance.budget_providers)
+    final_path = (seed, "final", i)
+    value = estimate_sigma(
+        instance, x_set, y_set, FINAL_FACTOR * samples, stream(*final_path), stream_path=final_path
+    )
+    return x_set, x_trace.evaluations, value
+
+
 def solve(instance, config):
     """Run the full pipeline; returns (best SeedSolution, per-net-point report).
 
     Builds the one-sided net, then for every net point greedily picks
     consumers against the surrogate objective, on a reverse-reachable pool
-    of its own, and providers against the real one, re-estimates each
-    candidate pair at a higher sample count, and returns the best. The
-    winner's value is estimated once more on its own stream: the maximum of
-    many noisy re-estimates is biased upward, a fresh draw is not.
+    of its own. The provider phase depends on the consumer set alone, so it
+    runs once per distinct set, at the first net point that picks it: a
+    greedy against the real objective, then a re-estimate of the pair at a
+    higher sample count. The report has one row per net point, and the rows
+    of net points that picked the same consumer set are one shared dict,
+    whose net_point_index names the point that computed it and whose
+    evaluations_y and evaluations_x count that point's calls. The pair with
+    the largest re-estimate wins (the first net point on a tie), and its
+    value is estimated once more on its own stream: the maximum of many
+    noisy re-estimates is biased upward, a fresh draw is not.
     """
     violations = validate(instance)
     if violations:
@@ -162,41 +192,27 @@ def solve(instance, config):
     else:
         pool_samples, samples = _auto_samples(instance, config, count)
     seed = config.master_seed
-    n = instance.n_providers
 
     report = []
+    rows = {}
     best = None
     for i in range(count):
         y_set, evaluations_y = _pick_consumers(instance, net.points[i], pool_samples, (seed, "pool", i))
-        x_counter = itertools.count()
-
-        def x_oracle(S, _y=tuple(y_set), _i=i, _c=x_counter):
-            path = (seed, "x", _i, next(_c))
-            return estimate_sigma(instance, S, _y, samples, stream(*path), stream_path=path)
-
-        x_set, x_trace = greedy_max(x_oracle, range(n), instance.budget_providers)
-        final_path = (seed, "final", i)
-        value = estimate_sigma(
-            instance,
-            x_set,
-            y_set,
-            FINAL_FACTOR * samples,
-            stream(*final_path),
-            stream_path=final_path,
-        )
-        report.append(
-            {
+        key = tuple(sorted(y_set))
+        if key not in rows:
+            x_set, evaluations_x, value = _pick_providers(instance, y_set, samples, seed, i)
+            rows[key] = {
                 "net_point_index": i,
                 "providers": sorted(x_set),
-                "consumers": sorted(y_set),
+                "consumers": list(key),
                 "value": value.mean,
                 "std_error": value.std_error,
                 "evaluations_y": evaluations_y,
-                "evaluations_x": x_trace.evaluations,
+                "evaluations_x": evaluations_x,
             }
-        )
-        if best is None or value.mean > best[3].mean:
-            best = (i, x_set, y_set, value)
+            if best is None or value.mean > best[3].mean:
+                best = (i, x_set, y_set, value)
+        report.append(rows[key])
 
     i, x_set, y_set, _ = best
     report_path = (seed, "report")

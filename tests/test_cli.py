@@ -114,6 +114,11 @@ def test_gen_bad_params_exit_1():
         # misspelled keys: the real ones are social_edges and edge_count
         ("rank_r", "n=4,m=3,r=1,social_edge=6", "unknown parameter 'social_edge'"),
         ("classic_im", "m=5,b2=2,edges=4", "unknown parameter 'edges'"),
+        # counts are not truncated, and a budget of 0 is not the default budget
+        ("rank_r", "n=4.7,m=3,r=1", "parameter 'n' must be an integer, got 4.7"),
+        ("rank_r", "n=4,m=3,r=1,b1=0.5", "parameter 'b1' must be an integer, got 0.5"),
+        ("rank_r", "n=4,m=3,r=1,b1=0", "invalid instance: provider budget must be at least 1, got 0"),
+        ("rank_r", "n=4,n=6,m=3,r=1", "parameter 'n' given twice"),
     ]:
         proc = run_cli("gen", "--family", family, "--params", params)
         assert proc.returncode == 1, params

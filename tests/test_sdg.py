@@ -10,6 +10,7 @@ from amphimax.diffusion import (
     DEFAULT_MC_EPS,
     SpreadEstimate,
     default_sample_count,
+    estimate_sigma,
     exact_sigma,
     reverse_reachable_pool,
 )
@@ -310,3 +311,50 @@ def test_independent_pools_reach_the_optimum_on_instance_518():
     sol, _ = solve(inst, SdgConfig(epsilon=0.3, master_seed=18))
     assert (sol.providers, sol.consumers) == ((1,), (2,))
     assert brute_force_opt(inst)[:2] == ((1,), (2,))
+
+
+def test_provider_phase_runs_once_per_consumer_set(monkeypatch):
+    inst = gen_rank_r(4, 3, 2, social_edge_count=2, seed=3)
+    seed = 4
+    greedy_runs, x_paths = [], {}
+
+    def counting_greedy(oracle, ground, budget):
+        greedy_runs.append(budget)
+        return greedy_max(oracle, ground, budget)
+
+    def recording_estimate(instance, X, Y, samples, rng, stream_path=None):
+        if stream_path[1] == "x":
+            x_paths.setdefault(tuple(sorted(Y)), []).append(stream_path)
+        return estimate_sigma(instance, X, Y, samples, rng, stream_path=stream_path)
+
+    monkeypatch.setattr(sdg, "greedy_max", counting_greedy)
+    monkeypatch.setattr(sdg, "estimate_sigma", recording_estimate)
+    sol, report = solve(inst, SdgConfig(epsilon=0.8, master_seed=seed))
+    assert len(report) == 559
+    first = {}
+    for k, row in enumerate(report):
+        first.setdefault(tuple(row["consumers"]), k)
+    # one greedy run and one shared record per consumer set
+    assert len(greedy_runs) == len(first) == len({id(row) for row in report}) >= 2
+    for k, row in enumerate(report):
+        assert row is report[first[tuple(row["consumers"])]]
+        assert row["net_point_index"] <= k
+        assert (row["net_point_index"] == k) == (first[tuple(row["consumers"])] == k)
+    # every oracle call for one consumer set draws the same numbers
+    assert set(x_paths) == set(first)
+    for y, paths in x_paths.items():
+        row = report[first[y]]
+        assert set(paths) == {(seed, "x", row["net_point_index"])}
+        assert len(paths) == row["evaluations_x"]
+    assert report[sol.net_point_index]["net_point_index"] == sol.net_point_index
+
+
+@pytest.mark.parametrize(
+    "n, m, r, edges, epsilon", [(4, 3, 1, 2, 0.5), (4, 3, 2, 2, 0.8), (6, 5, 1, 6, 0.6)]
+)
+def test_solve_returns_the_optimum_on_small_rungs(n, m, r, edges, epsilon):
+    inst = gen_rank_r(n, m, r, social_edge_count=edges, seed=3)
+    opt = brute_force_opt(inst)[2]
+    for seed in range(10):
+        sol, _ = solve(inst, SdgConfig(epsilon=epsilon, master_seed=seed))
+        assert abs(exact_sigma(inst, sol.providers, sol.consumers) - opt) < 1e-12, seed
