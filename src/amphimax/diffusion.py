@@ -13,7 +13,8 @@ from .relaxation import indicator, initial_activation, net_relaxation
 EXACT_EDGE_LIMIT = 22
 DEFAULT_MC_EPS = 0.05
 DEFAULT_MC_DELTA = 0.01
-# bytes of uniform floats drawn at once by the cascade kernel (at least 8 rows)
+# bytes of raw generator words drawn, or of runs unpacked, at once by the
+# cascade kernel (at least one row)
 DRAW_BUDGET = 1 << 24
 
 
@@ -89,23 +90,35 @@ def _pack_runs(bits):
 
 
 def _packed_draws(rng, samples, probs, order=None):
-    """Bernoulli(probs) for `samples` runs, packed 8 runs per byte, 64 per word.
+    """Bernoulli(p) bits for `samples` runs, packed 8 runs per byte, 64 per word.
 
-    Same draws as `rng.random((samples, probs.size)) < probs`, taken in row
-    chunks that keep the floats under DRAW_BUDGET bytes (consecutive calls
-    continue one stream). Row k of the (probs.size, 8 * ceil(samples/64))
-    uint8 result is column order[k] of that matrix; rows are padded to whole
-    64-bit words and every bit past `samples` is 0.
+    Row k of the (probs.size, 8 * ceil(samples/64)) uint8 result holds the
+    runs of p = probs[order[k]] (probs[k] without `order`), in np.packbits
+    order; rows are padded to whole 64-bit words and every bit past
+    `samples` is 0. A row with p <= 0 stays clear and a row with p >= 1 is
+    set, and neither draws. Every other row, in row order, takes
+    ceil(samples/2) raw 64-bit words of rng.bit_generator, split into
+    32-bit halves in memory order, and run j fires when half j is below
+    floor(p * 2**32): p is rounded down to a multiple of 2**-32, so a p
+    below 2**-32 never fires. Rows go in chunks whose raw words stay under
+    DRAW_BUDGET bytes (at least one row); the bits do not depend on the
+    chunk size, and consecutive calls continue one stream.
     """
-    width = probs.size
-    out = np.zeros((width, _word_bytes(samples)), dtype=np.uint8)
-    rows = max(8, DRAW_BUDGET // (8 * width) // 8 * 8)
-    for start in range(0, samples, rows):
-        bits = rng.random((min(rows, samples - start), width)) < probs
-        if order is not None:
-            bits = bits[:, order]
-        chunk = np.packbits(bits.T, axis=1)
-        out[:, start // 8 : start // 8 + chunk.shape[1]] = chunk
+    p = probs if order is None else probs[order]
+    out = np.zeros((p.size, _word_bytes(samples)), dtype=np.uint8)
+    run_bytes = (samples + 7) // 8
+    out[p >= 1.0, :run_bytes] = np.packbits(np.ones(samples, dtype=bool))
+    drawn = np.flatnonzero((p > 0.0) & (p < 1.0))
+    # exact for p in (0, 1): scaling by 2**32 is exact and the cast truncates
+    thresholds = (p[drawn] * 2.0**32).astype(np.uint32)[:, None]
+    words = (samples + 1) // 2
+    rows = max(1, DRAW_BUDGET // (8 * words))
+    for start in range(0, drawn.size, rows):
+        part = drawn[start : start + rows]
+        halves = rng.bit_generator.random_raw(part.size * words).view(np.uint32)
+        fired = halves.reshape(part.size, 2 * words)[:, :samples] < thresholds[start : start + rows]
+        del halves  # free this chunk's words before the next chunk draws its own
+        out[part, :run_bytes] = np.packbits(fired, axis=1)
     return out
 
 
@@ -141,10 +154,14 @@ def _batch_spread(instance, init_probs, samples, rng):
     edge's coin only matters the first time its source activates.
 
     Runs are bit-parallel: each consumer and each edge holds one bit per run,
-    64 runs per word, so memory is O((m + E) * ceil(samples/64) * 8) bytes
-    plus one bounded draw chunk. When every init probability is 0 no run
-    seeds anyone, so the call returns (0.0, 0.0) without drawing and does not
-    advance `rng`.
+    64 runs per word, drawn by _packed_draws (the seeds one row per
+    consumer, then the edges one row per edge in target order). Memory is
+    O((m + E) * ceil(samples/64) * 8) bytes plus one chunk under
+    DRAW_BUDGET bytes: the draws go in chunks of rows, and so does the
+    count of each run's total, which unpacks the consumer rows a chunk at a
+    time (one byte per run and row). When every init probability is 0 no
+    run seeds anyone, so the call returns (0.0, 0.0) without drawing and
+    does not advance `rng`.
     """
     if not init_probs.any():
         return 0.0, 0.0
@@ -152,7 +169,10 @@ def _batch_spread(instance, init_probs, samples, rng):
     src, prob, order, heads, cuts = _edge_arrays(instance)
     if src.size:
         _propagate(active, _packed_draws(rng, samples, prob, order), src, heads, cuts)
-    totals = np.unpackbits(active, axis=1, count=samples).sum(axis=0).astype(float)
+    totals = np.zeros(samples)
+    rows = max(1, DRAW_BUDGET // samples)
+    for start in range(0, active.shape[0], rows):
+        totals += np.unpackbits(active[start : start + rows], axis=1, count=samples).sum(axis=0)
     mean = float(totals.mean())
     std_error = float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, std_error
@@ -164,11 +184,13 @@ def reverse_reachable_pool(instance, samples, rng):
     Run k picks a uniform target consumer, flips every social edge once, and
     collects the consumers that reach the target over live edges (Borgs et
     al., SODA 2014): one _propagate on the reversed edges, seeded one-hot at
-    the targets, all runs in one call. Bit k of row u of the (m, 8 *
-    ceil(samples/64)) uint8 result, padded as in _pack_runs, is set when u
-    is in RR set k. Seeding each consumer u independently with probability
-    p_u then spreads to m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in
-    expectation.
+    the targets, all runs in one call. The targets come first, from
+    rng.integers, then the live edges from _packed_draws, one row per edge
+    in the order of _reversed_edges (by original source, then target).
+    Bit k of row u of the (m, 8 * ceil(samples/64)) uint8 result, padded
+    as in _pack_runs, is set when u is in RR set k. Seeding each consumer
+    u independently with probability p_u then spreads to
+    m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in expectation.
     """
     m = instance.n_consumers
     targets = rng.integers(0, m, size=samples)

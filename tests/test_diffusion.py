@@ -59,11 +59,30 @@ def simulate_ic(adj, initial, rng):
     return active
 
 
+def reference_draws(rng, samples, probs):
+    """(samples, probs.size) bool draws, taken as the packed kernel takes them.
+
+    Column by column: p <= 0 never fires and p >= 1 always fires, neither
+    drawing; any other p takes ceil(samples/2) raw 64-bit words of its own,
+    read as 32-bit halves, and run j fires when half j is below
+    floor(p * 2**32).
+    """
+    out = np.zeros((samples, len(probs)), dtype=bool)
+    for k, p in enumerate(probs):
+        if p >= 1.0:
+            out[:, k] = True
+        elif p > 0.0:
+            halves = rng.bit_generator.random_raw((samples + 1) // 2).view(np.uint32)
+            out[:, k] = halves[:samples] < math.floor(p * 2**32)
+    return out
+
+
 def dense_batch_spread(instance, init_probs, samples, rng):
     """Reference kernel: boolean runs x consumers, one dense matmul per round.
 
-    Draws seeds then live edges exactly as the bit-packed kernel does, and
-    pushes from every active consumer through an E x m incidence array.
+    Draws seeds then live edges exactly as the bit-packed kernel does, the
+    edges grouped by target (stable), and pushes from every active consumer
+    through an E x m incidence array.
     """
     edges = instance.social_edges
     src = np.array([e[0] for e in edges], dtype=np.intp)
@@ -72,9 +91,11 @@ def dense_batch_spread(instance, init_probs, samples, rng):
     inc = np.zeros((len(edges), instance.n_consumers), dtype=np.float32)
     if len(edges):
         inc[np.arange(len(edges)), dst] = 1.0
-    active = rng.random((samples, instance.n_consumers)) < init_probs
+    active = reference_draws(rng, samples, init_probs)
     if src.size:
-        live = rng.random((samples, src.size)) < prob
+        by_target = np.argsort(dst, kind="stable")
+        live = np.empty((samples, src.size), dtype=bool)
+        live[:, by_target] = reference_draws(rng, samples, prob[by_target])
         while True:
             push = active[:, src] & live
             counts = push.astype(np.float32) @ inc
@@ -384,12 +405,16 @@ def test_reversed_edges_equal_the_per_edge_build(case):
 def reference_pool(instance, samples, rng):
     """RR sets as a (m, samples) bool array, one backward search per run.
 
-    Takes the draws reverse_reachable_pool takes: the targets, then one
-    uniform per run and edge, edges in instance order.
+    Takes the draws reverse_reachable_pool takes: the targets, then the
+    live edges as reference_draws takes them, edges ordered by (source,
+    target).
     """
     m, edges = instance.n_consumers, instance.social_edges
     targets = rng.integers(0, m, size=samples)
-    live = rng.random((samples, len(edges))) < np.array([e[2] for e in edges]) if edges else None
+    live = np.empty((samples, len(edges)), dtype=bool)
+    if edges:
+        by_source = np.lexsort(([e[1] for e in edges], [e[0] for e in edges]))
+        live[:, by_source] = reference_draws(rng, samples, np.array([e[2] for e in edges])[by_source])
     into = [[] for _ in range(m)]
     for k, (u, v, _) in enumerate(edges):
         into[v].append((u, k))
@@ -449,25 +474,95 @@ def test_pool_memory_is_bounded_on_a_large_graph():
 
 
 class CountingRng:
+    """A generator that counts the raw-word draws taken from it."""
+
     def __init__(self, seed):
         self.rng, self.calls = np.random.default_rng(seed), 0
+        self.bit_generator = self
 
-    def random(self, shape):
+    def random_raw(self, size):
         self.calls += 1
-        return self.rng.random(shape)
+        return self.rng.bit_generator.random_raw(size)
 
 
-@pytest.mark.parametrize("budget, rows", [(1, 8), (1000, 16)])
-def test_packed_kernel_chunked_draws_equal_one_draw(monkeypatch, budget, rows):
-    # 6 consumers and 6 edges: chunks of `rows` runs for seeds, then for
-    # edges, the last chunk of each partial
-    monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
+class ConstantRaw:
+    """A bit generator stub whose raw words all equal `word`."""
+
+    def __init__(self, word):
+        self.word, self.bit_generator = word, self
+
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("samples", [65, 1001])
+def test_packed_draws_do_not_depend_on_the_chunk_size(monkeypatch, samples):
+    # fan_in: 6 consumer rows and 6 edge rows, of which `drawn` are neither
+    # 0 nor 1; at 65 runs a 1000-byte budget holds 3 rows of 33 words
     inst = KERNEL_CASES["fan_in"]
     init = _init_probs(inst.n_consumers, 0)
-    rng = CountingRng(5)
-    got = diffusion._batch_spread(inst, init, 1001, rng)
-    assert rng.calls == 2 * math.ceil(1001 / rows)
-    assert got == dense_batch_spread(inst, init, 1001, np.random.default_rng(5))
+    _, prob, order, _, _ = diffusion._edge_arrays(inst)
+    drawn = [np.count_nonzero((p > 0.0) & (p < 1.0)) for p in (init, prob)]
+    want = dense_batch_spread(inst, init, samples, np.random.default_rng(5))
+    bits = {}
+    for budget in (1, 1000, diffusion.DRAW_BUDGET):
+        monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
+        rng = CountingRng(5)
+        seeds = diffusion._packed_draws(rng, samples, init)
+        bits[budget] = np.vstack([seeds, diffusion._packed_draws(rng, samples, prob, order)])
+        rows = max(1, budget // (8 * ((samples + 1) // 2)))
+        assert rng.calls == sum(math.ceil(n / rows) for n in drawn)
+        assert diffusion._batch_spread(inst, init, samples, CountingRng(5)) == want
+    assert all(np.array_equal(b, bits[1]) for b in bits.values())
+
+
+def test_certain_rows_draw_nothing():
+    # p = 0 never fires and p = 1 always fires, and neither takes raw words:
+    # the one drawn row equals a draw of that row alone
+    samples = 100
+    probs = np.array([0.0, 1.0, 0.3, 1.0, 0.0])
+    rng = CountingRng(3)
+    bits = np.unpackbits(diffusion._packed_draws(rng, samples, probs), axis=1, count=samples).astype(bool)
+    assert rng.calls == 1
+    assert not bits[[0, 4]].any() and bits[[1, 3]].all()
+    assert np.array_equal(bits[2], reference_draws(np.random.default_rng(3), samples, [0.3])[:, 0])
+    rng = CountingRng(3)
+    diffusion._packed_draws(rng, samples, probs[[0, 1, 3, 4]])
+    assert rng.calls == 0
+
+
+@pytest.mark.parametrize("samples", [1, 63, 64, 65, 1001])
+def test_padding_bits_stay_clear(samples):
+    probs = np.array([0.0, 0.3, 0.999, 1.0])
+    out = diffusion._packed_draws(np.random.default_rng(samples), samples, probs)
+    assert out.dtype == np.uint8 and out.shape == (4, 8 * ((samples + 63) // 64))
+    bits = np.unpackbits(out, axis=1)
+    assert not bits[:, samples:].any()
+    assert bits[3, :samples].all()
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.25, 0.5, 0.999])
+def test_row_frequencies_match_their_probabilities(p):
+    samples = 1 << 20
+    out = diffusion._packed_draws(stream(0, "freq", str(p)), samples, np.array([p]))
+    hits = int(np.unpackbits(out).sum())
+    assert abs(hits / samples - p) <= 5.0 * math.sqrt(p * (1.0 - p) / samples)
+
+
+def test_thresholds_round_down_to_multiples_of_two_to_the_minus_32():
+    # run j fires when its 32-bit half is below floor(p * 2**32): on all-zero
+    # halves a p below 2**-32 stays clear, 2**-32 fires; on all-ones halves
+    # 1 - 2**-33 stays clear; on halves of 2**31, p = 0.5 stays clear and the
+    # next multiple of 2**-32 fires (a threshold scaled by 2**31 would not)
+    cases = [
+        (0, [2.0**-33, 2.0**-32, 0.5], [False, True, True]),
+        (2**64 - 1, [1.0 - 2.0**-33, 0.5], [False, False]),
+        (0x8000_0000_8000_0000, [0.5, 0.5 + 2.0**-32], [False, True]),
+    ]
+    for word, probs, fires in cases:
+        out = diffusion._packed_draws(ConstantRaw(word), 9, np.array(probs))
+        for row, fire in zip(np.unpackbits(out, axis=1, count=9), fires, strict=True):
+            assert row.all() if fire else not row.any()
 
 
 def test_estimate_sigma_empty_x():
@@ -574,4 +669,18 @@ def test_estimate_memory_is_bounded_on_a_large_graph():
     finally:
         tracemalloc.stop()
     assert est.samples == 1000
+    assert peak < 64 * 2**20
+
+
+def test_run_totals_are_counted_in_bounded_chunks():
+    # 50,000 runs over 3,000 consumers: unpacked at once, the per-run totals
+    # would take a 143 MiB array; packed, the consumers hold 18 MiB
+    inst = gen_rank_r(20, 3000, 2, social_edge_count=0, seed=3)
+    tracemalloc.start()
+    try:
+        est = estimate_sigma(inst, (0, 1), range(0, 3000, 10), samples=50_000, rng=stream(0, "totals"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 50_000 and est.std_error > 0.0
     assert peak < 64 * 2**20
