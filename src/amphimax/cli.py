@@ -168,7 +168,7 @@ def _build_parser():
         "--samples",
         type=int,
         default=None,
-        help="override the RR sets per consumer pool and the runs per estimate",
+        help="override the RR sets per consumer and per provider pool (estimates take 4x as many runs)",
     )
     p.add_argument("--max-net-points", type=int, default=MAX_NET_POINTS)
     p.add_argument("--report", default=None, help="write per-net-point rows here")

@@ -16,7 +16,7 @@ from .diffusion import (
     exact_rho_bar,
     reverse_reachable_pool,
 )
-from .greedy import greedy_max
+from .greedy import greedy_max  # noqa: F401 -- unused here; the traced benchmark wraps this name
 from .instance import InstanceValidationError, numerical_rank, validate
 from .net import MAX_NET_POINTS, build_net
 from .relaxation import indicator, initial_activation, net_relaxation
@@ -24,7 +24,7 @@ from .relaxation import indicator, initial_activation, net_relaxation
 E_COMPLEMENT = 1.0 - 1.0 / math.e
 BRUTE_FORCE_CAP = 10_000
 MAX_RANK = 6
-# sample count multiplier for the per-net-point re-estimates and the reported value
+# provider pool size multiplier for the per-consumer-set estimates and the reported value
 FINAL_FACTOR = 4
 
 
@@ -33,7 +33,8 @@ class SdgConfig:
     """Solver configuration.
 
     samples_per_eval, when set, replaces the automatic Hoeffding sizing of
-    both the consumer pools and the per-estimate sample count.
+    both the consumer pools and the provider pools; the final estimates
+    take FINAL_FACTOR times it.
     """
 
     epsilon: float
@@ -77,107 +78,95 @@ def approximation_ratio(epsilon):
 
 
 def _auto_samples(instance, config, net_size):
-    """(pool size, per-estimate sample count), each Hoeffding-sized for its own phase.
+    """(consumer pool size, provider pool size), each Hoeffding-sized for its phase.
 
-    Half the failure budget goes to the consumer pools, union-bounded over
-    every budget-sized consumer set plus one more term at each of the
-    net_size points; the other half to the provider-phase estimates and the
-    final re-estimates. Counts are taken in log space, since C(m, b2) is
-    past the float range at m in the thousands.
+    Each phase gets half of delta, union-bounded at each of the net_size
+    points over the C(size, budget) sets its greedy can return plus one term
+    (consumers) or two, the optimum and the final estimate (providers), in
+    log space: C(m, b2) is past the float range at m in the thousands.
     """
-    n, m = instance.n_providers, instance.n_consumers
-    b1, b2 = instance.budget_providers, instance.budget_consumers
-    log_sets = math.lgamma(m + 1) - math.lgamma(b2 + 1) - math.lgamma(m - b2 + 1)
-    pool_terms = math.log(net_size) + log_sets + math.log1p(math.exp(-log_sets))
-    x_terms = math.log(max(1, net_size * (n + 1 + b1 * n + 1)))
-    half = config.delta / 2.0
-    return default_sample_count(half, pool_terms), default_sample_count(half, x_terms)
+    counts = []
+    for size, budget, extra in (
+        (instance.n_consumers, instance.budget_consumers, 1.0),
+        (instance.n_providers, instance.budget_providers, 2.0),
+    ):
+        log_sets = math.lgamma(size + 1) - math.lgamma(budget + 1) - math.lgamma(size - budget + 1)
+        terms = math.log(net_size) + log_sets + math.log1p(extra * math.exp(-log_sets))
+        counts.append(default_sample_count(config.delta / 2.0, terms))
+    return tuple(counts)
 
 
-def _pool_greedy(pool, samples, s, budget):
-    """Plain greedy for the surrogate sigma_hat(s, Y) on one RR pool.
+def _pool_greedy(hits, count, samples, budget):
+    """Plain greedy for m * mean_k[1 - prod_{e in picks} (1 - hit_ek)] on one RR pool.
 
-    On the pool, sigma_hat(s, Y) = m * mean_k[1 - exp(-A_k)], with A_k the
-    sum of s_u over the members u of RR set k in Y. The gain of consumer u
-    is then proportional to (RR^T exp(-A))_u * (1 - exp(-s_u)); every step
-    computes all gains at once, in chunks of consumer rows whose floats stay
-    under DRAW_BUDGET bytes, takes the largest (ties toward the lowest
-    index, as greedy_max), and adds the pick's s to A on its RR sets.
-    Returns (picks, number of gains computed).
+    hits(start, stop) is a float array of rows e, columns k. Each step
+    computes every gain as sum_k hit_ek * miss_k, in row chunks under
+    DRAW_BUDGET bytes, takes the largest (ties toward the lowest index, as
+    greedy_max) and multiplies miss by its 1 - hit. Returns (picks, gains computed).
     """
-    scale = net_relaxation(s, np.ones(len(s)))
-    s = np.maximum(s, 0.0)
-    m = pool.shape[0]
     rows = max(1, DRAW_BUDGET // (8 * samples))
-    weight = np.zeros(samples)
+    miss = np.ones(samples)
     picks, evaluations = [], 0
     for _ in range(budget):
-        miss = np.exp(-weight)
-        gains = np.empty(m)
-        for start in range(0, m, rows):
-            bits = np.unpackbits(pool[start : start + rows], axis=1, count=samples)
-            # a row-wise sum, so consumers with equal RR rows get equal gains
-            gains[start : start + rows] = (bits * miss).sum(axis=1)
-        gains *= scale
+        gains = np.empty(count)
+        for start in range(0, count, rows):
+            # each gain is its own sum over k, so elements with equal hit rows get equal gains
+            gains[start : start + rows] = np.einsum("ek,k->e", hits(start, min(start + rows, count)), miss)
         gains[picks] = -1.0
-        evaluations += m - len(picks)
+        evaluations += count - len(picks)
         j = int(np.argmax(gains))
         picks.append(j)
-        weight += np.unpackbits(pool[j], count=samples) * s[j]
+        miss *= 1.0 - hits(j, j + 1)[0]
     return picks, evaluations
 
 
-def _pick_consumers(instance, s, samples, rng_path):
-    """Consumer phase at net point s: greedy on a fresh RR pool of `samples` runs.
+def _consumer_hits(pool, samples, s):
+    """Consumer hits for sigma_hat(s, .): u hits RR set k with chance RR_uk * (1 - exp(-s_u))."""
+    scale = net_relaxation(s, np.ones(pool.shape[0]))[:, None]
+    return lambda start, stop: np.unpackbits(pool[start:stop], axis=1, count=samples) * scale[start:stop]
 
-    The pool is drawn from stream(*rng_path) and released on return. With
-    b2 = m every consumer is picked and no pool is drawn.
+
+def _provider_hits(pool, samples, y_set, M):
+    """Provider hits for sigma(., Y): i hits RR set k with chance 1 - q_ik.
+
+    q_ik = prod_{u in RR_k and Y} (1 - M_iu); log q sums Y's pool rows in
+    chunks under DRAW_BUDGET bytes, so Y is never unpacked whole.
     """
-    m, b2 = instance.n_consumers, instance.budget_consumers
-    if b2 == m:
-        return list(range(m)), 0
+    ys = np.asarray(y_set, dtype=np.intp)
+    # log 0 clamps to log(tiny): its exp is below 1e-300, far under rounding
+    log_keep = np.log(np.maximum(1.0 - M[:, ys], np.finfo(float).tiny))
+    log_q = np.zeros((M.shape[0], samples))
+    rows = max(1, DRAW_BUDGET // (8 * samples))
+    for start in range(0, ys.size, rows):
+        bits = np.unpackbits(pool[ys[start : start + rows]], axis=1, count=samples)
+        log_q += log_keep[:, start : start + rows] @ bits.astype(float)
+    hit = -np.expm1(log_q)
+    return lambda start, stop: hit[start:stop]
+
+
+def _pool_pick(instance, count, budget, samples, rng_path, hits, *args):
+    """Greedy for `budget` of `count` elements with hits(pool, samples, *args) on a fresh
+    RR pool from stream(*rng_path); budget = count picks all and draws no pool."""
+    if budget == count:
+        return list(range(count)), 0
     pool = reverse_reachable_pool(instance, samples, stream(*rng_path))
-    return _pool_greedy(pool, samples, s, b2)
-
-
-def _pick_providers(instance, y_set, samples, seed, i):
-    """Provider phase for consumer set y_set, run at net point i.
-
-    Every oracle call of the greedy draws from the one stream (seed, "x", i),
-    so the candidate sets it compares share their random numbers (common
-    random numbers): the noise in a marginal gain is then that of one
-    difference, not of two independent estimates. The pair is then
-    re-estimated at FINAL_FACTOR times the samples on (seed, "final", i).
-    Returns (providers, oracle calls, final estimate).
-    """
-    x_path = (seed, "x", i)
-
-    def x_oracle(S):
-        return estimate_sigma(instance, S, y_set, samples, stream(*x_path), stream_path=x_path)
-
-    x_set, x_trace = greedy_max(x_oracle, range(instance.n_providers), instance.budget_providers)
-    final_path = (seed, "final", i)
-    value = estimate_sigma(
-        instance, x_set, y_set, FINAL_FACTOR * samples, stream(*final_path), stream_path=final_path
-    )
-    return x_set, x_trace.evaluations, value
+    return _pool_greedy(hits(pool, samples, *args), count, samples, budget)
 
 
 def solve(instance, config):
     """Run the full pipeline; returns (best SeedSolution, per-net-point report).
 
-    Builds the one-sided net, then for every net point greedily picks
-    consumers against the surrogate objective, on a reverse-reachable pool
-    of its own. The provider phase depends on the consumer set alone, so it
-    runs once per distinct set, at the first net point that picks it: a
-    greedy against the real objective, then a re-estimate of the pair at a
-    higher sample count. The report has one row per net point, and the rows
-    of net points that picked the same consumer set are one shared dict,
-    whose net_point_index names the point that computed it and whose
-    evaluations_y and evaluations_x count that point's calls. The pair with
-    the largest re-estimate wins (the first net point on a tie), and its
-    value is estimated once more on its own stream: the maximum of many
-    noisy re-estimates is biased upward, a fresh draw is not.
+    Builds the one-sided net; at every net point i a greedy picks consumers
+    for the surrogate on an RR pool from (seed, "pool", i). The provider
+    phase depends on the consumer set alone, so it runs once per distinct
+    set, at the first point i that picks it: a greedy for the real
+    objective on an RR pool from (seed, "x", i), then a forward estimate of
+    the pair on (seed, "final", i). Rows of points that picked the same
+    consumer set are one shared dict, whose net_point_index names the point
+    that computed it and whose evaluations count that point's gains. The
+    largest estimate wins (the first point on a tie) and is estimated once
+    more on (seed, "report"): the maximum of many noisy estimates is biased
+    upward, a fresh draw is not.
     """
     violations = validate(instance)
     if violations:
@@ -188,19 +177,27 @@ def solve(instance, config):
     net = build_net(instance.bipartite, basis, config.epsilon, instance.bit_precision, config.max_net_points)
     count = len(net)
     if config.samples_per_eval:
-        pool_samples = samples = config.samples_per_eval
+        y_samples = x_samples = config.samples_per_eval
     else:
-        pool_samples, samples = _auto_samples(instance, config, count)
+        y_samples, x_samples = _auto_samples(instance, config, count)
     seed = config.master_seed
+    n, m = instance.n_providers, instance.n_consumers
+    b1, b2 = instance.budget_providers, instance.budget_consumers
 
     report = []
     rows = {}
     best = None
     for i in range(count):
-        y_set, evaluations_y = _pick_consumers(instance, net.points[i], pool_samples, (seed, "pool", i))
+        y_set, evaluations_y = _pool_pick(instance, m, b2, y_samples, (seed, "pool", i), _consumer_hits, net.points[i])
         key = tuple(sorted(y_set))
         if key not in rows:
-            x_set, evaluations_x, value = _pick_providers(instance, y_set, samples, seed, i)
+            x_set, evaluations_x = _pool_pick(
+                instance, n, b1, x_samples, (seed, "x", i), _provider_hits, key, instance.bipartite
+            )
+            final_path = (seed, "final", i)
+            value = estimate_sigma(
+                instance, x_set, key, FINAL_FACTOR * x_samples, stream(*final_path), stream_path=final_path
+            )
             rows[key] = {
                 "net_point_index": i,
                 "providers": sorted(x_set),
@@ -211,13 +208,13 @@ def solve(instance, config):
                 "evaluations_x": evaluations_x,
             }
             if best is None or value.mean > best[3].mean:
-                best = (i, x_set, y_set, value)
+                best = (i, x_set, key, value)
         report.append(rows[key])
 
     i, x_set, y_set, _ = best
     report_path = (seed, "report")
     value = estimate_sigma(
-        instance, x_set, y_set, FINAL_FACTOR * samples, stream(*report_path), stream_path=report_path
+        instance, x_set, y_set, FINAL_FACTOR * x_samples, stream(*report_path), stream_path=report_path
     )
     solution = SeedSolution(
         providers=tuple(sorted(x_set)),

@@ -221,7 +221,7 @@ def test_solve_reaches_guarantee_on_small_instance():
     assert achieved >= 0.9 * opt
 
 
-def _pool_oracle(pool, samples, s):
+def _consumer_oracle(pool, samples, s):
     """sigma_hat(s, Y) on the pool, computed from scratch for each Y."""
     rr = np.unpackbits(pool, axis=1, count=samples).T.astype(float)
     m = pool.shape[0]
@@ -229,6 +229,23 @@ def _pool_oracle(pool, samples, s):
     def oracle(Y):
         weight = rr[:, list(Y)] @ s[list(Y)] if Y else np.zeros(samples)
         return SpreadEstimate(m * float(np.mean(-np.expm1(-weight))), 0.0, samples)
+
+    return oracle
+
+
+def _pool_keep(pool, samples, Y, M):
+    """q_ik = prod over the members u of RR set k in Y of (1 - M_iu), as an (n, samples) array."""
+    rr = np.unpackbits(pool[list(Y)], axis=1, count=samples).astype(bool)
+    return np.where(rr[None], 1.0 - M[:, list(Y), None], 1.0).prod(axis=1)
+
+
+def _provider_oracle(pool, samples, Y, M):
+    """sigma(X, Y) on the pool, computed from scratch for each X."""
+    keep = _pool_keep(pool, samples, Y, M)
+    m = pool.shape[0]
+
+    def oracle(X):
+        return SpreadEstimate(m * float(np.mean(1.0 - keep[list(X)].prod(axis=0))), 0.0, samples)
 
     return oracle
 
@@ -246,62 +263,161 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool():
         pool = reverse_reachable_pool(inst, samples, stream(k, "greedy-check"))
         pool[6] = pool[1]
         budget = 1 + k % 8  # greedy_max returns the whole ground set at 9
-        picks, evaluations = sdg._pool_greedy(pool, samples, s, budget)
-        want, _ = greedy_max(_pool_oracle(pool, samples, s), range(9), budget)
+        picks, evaluations = sdg._pool_greedy(sdg._consumer_hits(pool, samples, s), 9, samples, budget)
+        want, _ = greedy_max(_consumer_oracle(pool, samples, s), range(9), budget)
         assert picks == want
         assert evaluations == sum(9 - t for t in range(budget)) <= 9 * budget + 9 + 1
 
+        # the provider phase, on a 9x7 instance with ties: a zero row, a copy
+        # of provider 1's row in provider 6 (and, at odd k, of provider 0's in
+        # provider 8), and a certain entry
+        base = gen_rank_r(9, 7, 2, social_edge_count=6 + k, seed=60 + k)
+        M = base.bipartite.copy()
+        M[3] = 0.0
+        M[6] = M[1]
+        if k % 2:
+            M[8] = M[0]
+        M[5, k % 7] = 1.0
+        inst = make_instance(M, base.social_edges, lam=base.bit_precision)
+        Y = tuple(sorted(np.random.default_rng([k, 4]).choice(7, 1 + k % 5, replace=False).tolist()))
+        pool = reverse_reachable_pool(inst, samples, stream(k, "provider-check"))
+        hits = sdg._provider_hits(pool, samples, Y, M)
+        picks, evaluations = sdg._pool_greedy(hits, 9, samples, budget)
+        want, _ = greedy_max(_provider_oracle(pool, samples, Y, M), range(9), budget)
+        assert picks == want, k
+        assert evaluations == sum(9 - t for t in range(budget))
+        assert np.allclose(hits(0, 9), 1.0 - _pool_keep(pool, samples, Y, M), rtol=0.0, atol=1e-12)
+
 
 def test_pool_greedy_gains_in_row_chunks(monkeypatch):
-    inst = gen_rank_r(2, 9, 1, social_edge_count=12, seed=4)
+    inst = gen_rank_r(9, 9, 1, social_edge_count=12, seed=4)
     s = np.linspace(0.1, 1.7, 9)
+    Y = (0, 2, 3, 5, 8)
     pool = reverse_reachable_pool(inst, 500, stream(0, "chunks"))
-    whole = sdg._pool_greedy(pool, 500, s, 4)
-    # 2 consumer rows of 500 floats per chunk
+    consumers = sdg._pool_greedy(sdg._consumer_hits(pool, 500, s), 9, 500, 4)
+    provider_hits = sdg._provider_hits(pool, 500, Y, inst.bipartite)
+    providers = sdg._pool_greedy(provider_hits, 9, 500, 4)
+    # 2 rows of 500 floats per chunk, in the gains and in the sum over Y
     monkeypatch.setattr(sdg, "DRAW_BUDGET", 2 * 8 * 500)
-    assert sdg._pool_greedy(pool, 500, s, 4) == whole
+    assert sdg._pool_greedy(sdg._consumer_hits(pool, 500, s), 9, 500, 4) == consumers
+    chunked_hits = sdg._provider_hits(pool, 500, Y, inst.bipartite)
+    assert np.allclose(chunked_hits(0, 9), provider_hits(0, 9), rtol=0.0, atol=1e-12)
+    assert sdg._pool_greedy(chunked_hits, 9, 500, 4) == providers
+
+
+def test_pool_estimate_of_sigma_matches_exact_sigma():
+    # sigma(X, Y) = m * E_k[1 - prod over i in X of q_ik] on a pool
+    samples = 4000
+    for k in range(6):
+        inst = gen_rank_r(5, 6, 2, social_edge_count=4 + k, seed=30 + k)
+        pick = np.random.default_rng([k, 6])
+        X = tuple(pick.choice(5, 1 + k % 3, replace=False).tolist())
+        Y = tuple(sorted(pick.choice(6, 2 + k % 3, replace=False).tolist()))
+        pool = reverse_reachable_pool(inst, samples, stream(k, "sigma-check"))
+        hits = sdg._provider_hits(pool, samples, Y, inst.bipartite)(0, 5)
+        values = 6.0 * (1.0 - np.prod(1.0 - hits[list(X)], axis=0))
+        se = values.std(ddof=1) / math.sqrt(samples)
+        want = exact_sigma(inst, X, Y)
+        assert se > 0.0
+        assert abs(values.mean() - want) <= 3.0 * se, (k, values.mean(), want, se)
+
+
+def test_provider_phase_memory_is_bounded(monkeypatch):
+    # 1,000 consumer rows of 20,000 runs, unpacked whole as floats, would
+    # take 160 MB; the pool itself, drawn beforehand, is 7.2 MiB
+    inst = gen_rank_r(20, 3000, 2, social_edge_count=2000, seed=3)
+    samples = 20_000
+    pool = reverse_reachable_pool(inst, samples, stream(0, "big-provider-pool"))
+    monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
+    Y = tuple(range(0, 3000, 3))
+    tracemalloc.start()
+    try:
+        picks, _ = sdg._pool_pick(inst, 20, 6, samples, (0, "x", 0), sdg._provider_hits, Y, inst.bipartite)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(picks)) == 6
+    assert peak < 64 * 2**20
 
 
 def test_sample_counts_follow_the_union_bounds():
     inst = gen_rank_r(4, 3, 1, social_edge_count=2, seed=3, budget_providers=2, budget_consumers=2)
     config = SdgConfig(epsilon=0.5, delta=0.01)
     half = config.delta / 2.0
-    pool, samples = sdg._auto_samples(inst, config, 73)
-    # the pools: every consumer set of size b2, plus one, at each of 73 points
-    assert pool == default_sample_count(delta=half / (73 * (math.comb(3, 2) + 1)))
-    # the provider phase and the final estimates: their own terms alone
-    assert samples == default_sample_count(delta=half / (73 * (4 + 1 + 2 * 4 + 1)))
+    y_samples, x_samples = sdg._auto_samples(inst, config, 73)
+    # the consumer pools: every consumer set of size b2, plus one, at each of 73 points
+    assert y_samples == default_sample_count(delta=half / (73 * (math.comb(3, 2) + 1)))
+    # the provider pools: every provider set of size b1, the optimum and the
+    # final estimate, at each point
+    assert x_samples == default_sample_count(delta=half / (73 * (math.comb(4, 2) + 2)))
+
+    # the 10x8 rank-2 rung: all 120 provider sets of size 3, not 42 estimates
+    rung = gen_rank_r(10, 8, 2, social_edge_count=10, seed=3)
+    assert sdg._auto_samples(rung, config, 9035)[1] == default_sample_count(delta=half / (9035 * 122))
 
     # C(3000, 1500) is past the float range: half / C raises OverflowError
-    big = make_instance(np.full((1, 3000), 0.5), b1=1, b2=1500, lam=1)
     with pytest.raises(OverflowError):
         half / math.comb(3000, 1500)
-    pool, samples = sdg._auto_samples(big, config, 5)
-    log_terms = math.log(5) + math.log(math.comb(3000, 1500) + 1)
-    want = math.ceil((math.log(2.0 / half) + log_terms) / (2.0 * DEFAULT_MC_EPS**2))
-    assert pool == want and 400_000 < pool < 500_000
-    assert samples == default_sample_count(delta=half / (5 * 4))
+
+    def past_float_range(extra):
+        log_terms = math.log(5) + math.log(math.comb(3000, 1500) + extra)
+        return math.ceil((math.log(2.0 / half) + log_terms) / (2.0 * DEFAULT_MC_EPS**2))
+
+    consumers = make_instance(np.full((1, 3000), 0.5), b1=1, b2=1500, lam=1)
+    providers = make_instance(np.full((3000, 1), 0.5), b1=1500, b2=1, lam=1)
+    # the other side has one set of size 1, plus two terms (providers) or one (consumers)
+    one_side = default_sample_count(delta=half / (5 * 3)), default_sample_count(delta=half / (5 * 2))
+    assert sdg._auto_samples(consumers, config, 5) == (past_float_range(1), one_side[0])
+    assert sdg._auto_samples(providers, config, 5) == (one_side[1], past_float_range(2))
+    assert 400_000 < past_float_range(1) <= past_float_range(2) < 500_000
+
+
+def _recording(monkeypatch):
+    """Record the stream path of every RR pool that solve draws, in order."""
+    paths, pools = {}, []
+
+    def recording_stream(*path):
+        rng = stream(*path)
+        paths[id(rng)] = (rng, path)
+        return rng
+
+    def recording_pool(instance, samples, rng):
+        pools.append((paths[id(rng)][1], samples))
+        return reverse_reachable_pool(instance, samples, rng)
+
+    monkeypatch.setattr(sdg, "stream", recording_stream)
+    monkeypatch.setattr(sdg, "reverse_reachable_pool", recording_pool)
+    return pools
 
 
 def test_samples_sets_the_pool_size_too(monkeypatch):
     inst = gen_rank_r(3, 4, 1, social_edge_count=3, factor_low=0.3, seed=8)
-    sizes = []
-
-    def counting_pool(instance, samples, rng):
-        sizes.append(samples)
-        return reverse_reachable_pool(instance, samples, rng)
-
-    monkeypatch.setattr(sdg, "reverse_reachable_pool", counting_pool)
-    _, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
-    assert sizes == [50] * len(report)
+    pools = _recording(monkeypatch)
+    sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
+    distinct = len({tuple(row["consumers"]) for row in report})
+    # one consumer pool per net point and one provider pool per consumer set
+    assert [path[1] for path, _ in pools].count("x") == distinct
+    assert [samples for _, samples in pools] == [50] * (len(report) + distinct)
+    assert sol.value.samples == FINAL_FACTOR * 50
 
 
 def test_all_consumers_budget_draws_no_pool(monkeypatch):
     inst = gen_rank_r(3, 3, 1, social_edge_count=2, seed=3, budget_consumers=3)
-    monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *a: pytest.fail("pool drawn at b2 = m"))
+    pools = _recording(monkeypatch)
     sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
     assert sol.consumers == (0, 1, 2)
     assert all(row["evaluations_y"] == 0 for row in report)
+    # no consumer pool; the one consumer set still gets its provider pool
+    assert [path for path, _ in pools] == [(0, "x", 0)]
+
+
+def test_all_providers_budget_draws_no_provider_pool(monkeypatch):
+    inst = gen_rank_r(3, 3, 1, social_edge_count=2, seed=3, budget_providers=3)
+    pools = _recording(monkeypatch)
+    sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
+    assert sol.providers == (0, 1, 2)
+    assert all(row["evaluations_x"] == 0 and row["providers"] == [0, 1, 2] for row in report)
+    assert [path for path, _ in pools] == [(0, "pool", i) for i in range(len(report))]
 
 
 def test_independent_pools_reach_the_optimum_on_instance_518():
@@ -316,36 +432,38 @@ def test_independent_pools_reach_the_optimum_on_instance_518():
 def test_provider_phase_runs_once_per_consumer_set(monkeypatch):
     inst = gen_rank_r(4, 3, 2, social_edge_count=2, seed=3)
     seed = 4
-    greedy_runs, x_paths = [], {}
-
-    def counting_greedy(oracle, ground, budget):
-        greedy_runs.append(budget)
-        return greedy_max(oracle, ground, budget)
+    pools = _recording(monkeypatch)
+    estimates = []
 
     def recording_estimate(instance, X, Y, samples, rng, stream_path=None):
-        if stream_path[1] == "x":
-            x_paths.setdefault(tuple(sorted(Y)), []).append(stream_path)
+        estimates.append(stream_path)
         return estimate_sigma(instance, X, Y, samples, rng, stream_path=stream_path)
 
-    monkeypatch.setattr(sdg, "greedy_max", counting_greedy)
     monkeypatch.setattr(sdg, "estimate_sigma", recording_estimate)
     sol, report = solve(inst, SdgConfig(epsilon=0.8, master_seed=seed))
     assert len(report) == 559
     first = {}
     for k, row in enumerate(report):
         first.setdefault(tuple(row["consumers"]), k)
-    # one greedy run and one shared record per consumer set
-    assert len(greedy_runs) == len(first) == len({id(row) for row in report}) >= 2
+    # one shared record per consumer set
+    assert len(first) == len({id(row) for row in report}) >= 2
     for k, row in enumerate(report):
         assert row is report[first[tuple(row["consumers"])]]
         assert row["net_point_index"] <= k
         assert (row["net_point_index"] == k) == (first[tuple(row["consumers"])] == k)
-    # every oracle call for one consumer set draws the same numbers
-    assert set(x_paths) == set(first)
-    for y, paths in x_paths.items():
-        row = report[first[y]]
-        assert set(paths) == {(seed, "x", row["net_point_index"])}
-        assert len(paths) == row["evaluations_x"]
+        # b1 = 1 of n = 4 providers: one greedy step over all four
+        assert row["evaluations_x"] == 4
+    # one provider pool per consumer set, on (seed, "x", i) with i the first
+    # point that picked it, right after that point's consumer pool
+    starts = sorted(first.values())
+    want = []
+    for k in range(len(report)):
+        want.append((seed, "pool", k))
+        if k in starts:
+            want.append((seed, "x", k))
+    assert [path for path, _ in pools] == want
+    # the forward estimator scores pairs only: one per consumer set, then the winner
+    assert estimates == [(seed, "final", k) for k in starts] + [(seed, "report")]
     assert report[sol.net_point_index]["net_point_index"] == sol.net_point_index
 
 
