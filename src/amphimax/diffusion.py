@@ -89,25 +89,34 @@ def _pack_runs(bits):
     return out
 
 
-def _packed_draws(rng, samples, probs, order=None):
-    """Bernoulli(p) bits for `samples` runs, packed 8 runs per byte, 64 per word.
+def _pack_last(bits):
+    """np.packbits(bits, axis=-1), packed along the rows of a 2-D view, which numpy does faster."""
+    return np.packbits(bits.reshape(-1, bits.shape[-1]), axis=1).reshape(bits.shape[:-1] + (-1,))
 
-    Row k of the (probs.size, 8 * ceil(samples/64)) uint8 result holds the
-    runs of p = probs[order[k]] (probs[k] without `order`), in np.packbits
-    order; rows are padded to whole 64-bit words and every bit past
-    `samples` is 0. A row with p <= 0 stays clear and a row with p >= 1 is
-    set, and neither draws. Every other row, in row order, takes
-    ceil(samples/2) raw 64-bit words of rng.bit_generator, split into
-    32-bit halves in memory order, and run j fires when half j is below
-    floor(p * 2**32): p is rounded down to a multiple of 2**-32, so a p
-    below 2**-32 never fires. Rows go in chunks whose raw words stay under
-    DRAW_BUDGET bytes (at least one row); the bits do not depend on the
-    chunk size, and consecutive calls continue one stream.
+
+def _packed_draws(rngs, samples, probs, order=None):
+    """Bernoulli(p) bits for `samples` runs per generator, packed 8 runs per byte, 64 per word.
+
+    Row k of the (probs.size, len(rngs) * 8 * ceil(samples/64)) uint8 result
+    holds the runs of p = probs[order[k]] (probs[k] without `order`); bytes
+    [b * 8 * ceil(samples/64), (b + 1) * 8 * ceil(samples/64)) hold those of
+    generator rngs[b], in np.packbits order, padded to whole 64-bit words,
+    and every bit past `samples` is 0. A row with p <= 0 stays clear and a
+    row with p >= 1 is set, and neither draws. Every other row, in row
+    order, takes ceil(samples/2) raw 64-bit words of each generator's
+    bit_generator, split into 32-bit halves in memory order, and run j
+    fires when half j is below floor(p * 2**32): p is rounded down to a
+    multiple of 2**-32, so a p below 2**-32 never fires. Rows go in chunks
+    whose raw words from one generator stay under DRAW_BUDGET bytes (at
+    least one row), and a chunk's fired bits take one byte per run and
+    generator; the bits do not depend on the chunk size, and consecutive
+    calls continue each generator's stream.
     """
     p = probs if order is None else probs[order]
-    out = np.zeros((p.size, _word_bytes(samples)), dtype=np.uint8)
-    run_bytes = (samples + 7) // 8
-    out[p >= 1.0, :run_bytes] = np.packbits(np.ones(samples, dtype=bool))
+    row = _word_bytes(samples)
+    out = np.zeros((p.size, len(rngs) * row), dtype=np.uint8)
+    runs = out.reshape(p.size, len(rngs), row)[:, :, : (samples + 7) // 8]
+    runs[p >= 1.0] = np.packbits(np.ones(samples, dtype=bool))
     drawn = np.flatnonzero((p > 0.0) & (p < 1.0))
     # exact for p in (0, 1): scaling by 2**32 is exact and the cast truncates
     thresholds = (p[drawn] * 2.0**32).astype(np.uint32)[:, None]
@@ -115,10 +124,12 @@ def _packed_draws(rng, samples, probs, order=None):
     rows = max(1, DRAW_BUDGET // (8 * words))
     for start in range(0, drawn.size, rows):
         part = drawn[start : start + rows]
-        halves = rng.bit_generator.random_raw(part.size * words).view(np.uint32)
-        fired = halves.reshape(part.size, 2 * words)[:, :samples] < thresholds[start : start + rows]
-        del halves  # free this chunk's words before the next chunk draws its own
-        out[part, :run_bytes] = np.packbits(fired, axis=1)
+        fired = np.empty((part.size, len(rngs), samples), dtype=bool)
+        for b, rng in enumerate(rngs):
+            halves = rng.bit_generator.random_raw(part.size * words).view(np.uint32).reshape(part.size, -1)
+            np.less(halves[:, :samples], thresholds[start : start + rows], out=fired[:, b])
+            del halves  # free these words before the next generator draws its own
+        runs[part] = _pack_last(fired)
     return out
 
 
@@ -165,10 +176,10 @@ def _batch_spread(instance, init_probs, samples, rng):
     """
     if not init_probs.any():
         return 0.0, 0.0
-    active = _packed_draws(rng, samples, init_probs)
+    active = _packed_draws([rng], samples, init_probs)
     src, prob, order, heads, cuts = _edge_arrays(instance)
     if src.size:
-        _propagate(active, _packed_draws(rng, samples, prob, order), src, heads, cuts)
+        _propagate(active, _packed_draws([rng], samples, prob, order), src, heads, cuts)
     totals = np.zeros(samples)
     rows = max(1, DRAW_BUDGET // samples)
     for start in range(0, active.shape[0], rows):
@@ -178,29 +189,38 @@ def _batch_spread(instance, init_probs, samples, rng):
     return mean, std_error
 
 
-def reverse_reachable_pool(instance, samples, rng):
-    """Packed reverse-reachable (RR) sets of `samples` independent runs.
+def reverse_reachable_pool(instance, samples, *rngs):
+    """Packed reverse-reachable (RR) sets: one pool of `samples` independent runs per generator.
 
     Run k picks a uniform target consumer, flips every social edge once, and
     collects the consumers that reach the target over live edges (Borgs et
-    al., SODA 2014): one _propagate on the reversed edges, seeded one-hot at
-    the targets, all runs in one call. The targets come first, from
-    rng.integers, then the live edges from _packed_draws, one row per edge
-    in the order of _reversed_edges (by original source, then target).
-    Bit k of row u of the (m, 8 * ceil(samples/64)) uint8 result, padded
-    as in _pack_runs, is set when u is in RR set k. Seeding each consumer
-    u independently with probability p_u then spreads to
-    m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in expectation.
+    al., SODA 2014). Each generator draws its own pool: the targets first,
+    from rng.integers, then the live edges from _packed_draws, one row per
+    edge in the order of _reversed_edges (by original source, then target).
+    The pools sit side by side, pool b in bytes [b * W, (b + 1) * W) of
+    every row, W = 8 * ceil(samples/64), and all of them go through one
+    _propagate on the reversed edges, seeded one-hot at the targets. Bit k
+    of pool b in row u of the (m, len(rngs) * W) uint8 result, padded as in
+    _pack_runs, is set when u is in RR set k of pool b; a pool's bits do not
+    depend on the other generators. Seeding each consumer u independently
+    with probability p_u then spreads to m * E_k[1 - prod_{u in RR_k} (1 - p_u)]
+    in expectation.
     """
     m = instance.n_consumers
-    targets = rng.integers(0, m, size=samples)
-    runs = np.arange(samples)
-    pool = np.zeros((m, _word_bytes(samples)), dtype=np.uint8)
-    # np.packbits order: run k is bit 7 - k % 8 of byte k // 8
-    np.bitwise_or.at(pool, (targets, runs >> 3), (128 >> (runs & 7)).astype(np.uint8))
+    targets = [rng.integers(0, m, size=samples) for rng in rngs]
+    pool = np.zeros((m, len(rngs) * _word_bytes(samples)), dtype=np.uint8)
+    runs = pool.reshape(m, len(rngs), -1)[:, :, : (samples + 7) // 8]
+    # one-hot rows in chunks of consumers whose unpacked bits stay under DRAW_BUDGET bytes
+    rows = max(1, DRAW_BUDGET // (len(rngs) * samples))
+    for start in range(0, m, rows):
+        consumers = np.arange(start, min(start + rows, m))[:, None]
+        onehot = np.empty((consumers.size, len(rngs), samples), dtype=bool)
+        for b, drawn in enumerate(targets):
+            np.equal(drawn, consumers, out=onehot[:, b])
+        runs[start : start + rows] = _pack_last(onehot)
     src, prob, order, heads, cuts = _reversed_edges(instance)
     if src.size:
-        _propagate(pool, _packed_draws(rng, samples, prob, order), src, heads, cuts)
+        _propagate(pool, _packed_draws(rngs, samples, prob, order), src, heads, cuts)
     return pool
 
 

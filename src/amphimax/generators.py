@@ -114,7 +114,7 @@ def gen_classic_im(social_edges, m, b2, seed=0):
         n_providers=1,
         n_consumers=m,
         bipartite=np.ones((1, m)),
-        social_edges=tuple((int(u), int(w), float(p)) for u, w, p in social_edges),
+        social_edges=social_edges,
         budget_providers=1,
         budget_consumers=b2,
         bit_precision=1,

@@ -10,6 +10,7 @@ from ._rng import stream
 from .diffusion import (
     DRAW_BUDGET,
     SpreadEstimate,
+    _word_bytes,
     default_sample_count,
     estimate_sigma,
     estimate_sigma_hat,  # noqa: F401 -- unused here; the traced benchmark wraps this name
@@ -26,6 +27,9 @@ BRUTE_FORCE_CAP = 10_000
 MAX_RANK = 6
 # provider pool size multiplier for the per-consumer-set estimates and the reported value
 FINAL_FACTOR = 4
+# bytes the consumer pools of one batch of net points hold together: raw
+# words, live-edge bits, pools, unpacked hits and miss (at least one point)
+POOL_BUDGET = DRAW_BUDGET // 16
 
 
 @dataclass(frozen=True)
@@ -96,38 +100,59 @@ def _auto_samples(instance, config, net_size):
     return tuple(counts)
 
 
-def _pool_greedy(hits, count, samples, budget):
-    """Plain greedy for m * mean_k[1 - prod_{e in picks} (1 - hit_ek)] on one RR pool.
+def _pool_greedy(hits, count, samples, budget, batch=1):
+    """Plain greedy for m * mean_k[1 - prod_{e in picks} (1 - hit_ek)] on each of `batch` RR pools.
 
-    hits(start, stop) is a float array of rows e, columns k. Each step
-    computes every gain as sum_k hit_ek * miss_k, in row chunks under
-    DRAW_BUDGET bytes, takes the largest (ties toward the lowest index, as
-    greedy_max) and multiplies miss by its 1 - hit. Returns (picks, gains computed).
+    hits(elements) takes element indices that broadcast to (batch, r) and
+    returns the (batch, r, samples) float hit chances of element
+    elements[b, t] in pool b. Each step computes every gain as
+    sum_k hit_ek * miss_k, in row chunks under DRAW_BUDGET bytes, takes the
+    largest in each pool (ties toward the lowest index, as greedy_max) and
+    multiplies that pool's miss by its 1 - hit. Returns (picks, one list
+    per pool; gains computed per pool).
     """
-    rows = max(1, DRAW_BUDGET // (8 * samples))
-    miss = np.ones(samples)
-    picks, evaluations = [], 0
-    for _ in range(budget):
-        gains = np.empty(count)
+    rows = max(1, DRAW_BUDGET // (8 * batch * samples))
+    members = np.arange(batch)[:, None]
+    # when one chunk holds every hit, unpack them once, not at every step
+    table = hits(np.arange(count)[None]) if rows >= count else None
+    miss = np.ones((batch, samples))
+    picks = np.zeros((batch, budget), dtype=np.intp)
+    for step in range(budget):
+        gains = np.empty((batch, count))
         for start in range(0, count, rows):
+            chunk = table if table is not None else hits(np.arange(start, min(start + rows, count))[None])
             # each gain is its own sum over k, so elements with equal hit rows get equal gains
-            gains[start : start + rows] = np.einsum("ek,k->e", hits(start, min(start + rows, count)), miss)
-        gains[picks] = -1.0
-        evaluations += count - len(picks)
-        j = int(np.argmax(gains))
-        picks.append(j)
-        miss *= 1.0 - hits(j, j + 1)[0]
-    return picks, evaluations
+            gains[:, start : start + rows] = np.einsum("bek,bk->be", chunk, miss)
+        gains[members, picks[:, :step]] = -1.0
+        picks[:, step] = gains.argmax(axis=1)
+        if step + 1 < budget:
+            pick = picks[:, step, None]
+            miss *= 1.0 - (table[members, pick] if table is not None else hits(pick))[:, 0]
+    return picks.tolist(), sum(count - t for t in range(budget))
 
 
-def _consumer_hits(pool, samples, s):
-    """Consumer hits for sigma_hat(s, .): u hits RR set k with chance RR_uk * (1 - exp(-s_u))."""
-    scale = net_relaxation(s, np.ones(pool.shape[0]))[:, None]
-    return lambda start, stop: np.unpackbits(pool[start:stop], axis=1, count=samples) * scale[start:stop]
+def _consumer_hits(pool, samples, points):
+    """Consumer hits for sigma_hat(s, .) at a (batch, m) stack of net points, one pool each.
+
+    Pool b holds bytes [b * W, (b + 1) * W) of every row of `pool` (see
+    reverse_reachable_pool); u hits its RR set k with chance RR_uk * (1 - exp(-s_bu)).
+    """
+    points = np.atleast_2d(points)
+    batch, m = points.shape
+    scale = net_relaxation(points.ravel(), np.ones(points.size)).reshape(batch, m)
+    pools = pool.reshape(m, batch, -1)
+    members = np.arange(batch)[:, None]
+
+    def hits(e):
+        chances = np.unpackbits(pools[e, members], axis=-1, count=samples).astype(float)
+        chances *= scale[members, e][..., None]
+        return chances
+
+    return hits
 
 
 def _provider_hits(pool, samples, y_set, M):
-    """Provider hits for sigma(., Y): i hits RR set k with chance 1 - q_ik.
+    """Provider hits for sigma(., Y) on one pool: i hits RR set k with chance 1 - q_ik.
 
     q_ik = prod_{u in RR_k and Y} (1 - M_iu); log q sums Y's pool rows in
     chunks under DRAW_BUDGET bytes, so Y is never unpacked whole.
@@ -141,27 +166,47 @@ def _provider_hits(pool, samples, y_set, M):
         bits = np.unpackbits(pool[ys[start : start + rows]], axis=1, count=samples)
         log_q += log_keep[:, start : start + rows] @ bits.astype(float)
     hit = -np.expm1(log_q)
-    return lambda start, stop: hit[start:stop]
+    return lambda e: hit[e]
 
 
-def _pool_pick(instance, count, budget, samples, rng_path, hits, *args):
-    """Greedy for `budget` of `count` elements with hits(pool, samples, *args) on a fresh
-    RR pool from stream(*rng_path); budget = count picks all and draws no pool."""
+def _pool_pick(instance, count, budget, samples, rng_paths, hits, *args):
+    """Greedy for `budget` of `count` elements on one fresh RR pool per stream(*path) of
+    rng_paths, drawn and searched as one batch with hits(pool, samples, *args).
+
+    Returns (picks, one list per path; gains computed per path); budget = count
+    picks all and draws no pool.
+    """
     if budget == count:
-        return list(range(count)), 0
-    pool = reverse_reachable_pool(instance, samples, stream(*rng_path))
-    return _pool_greedy(hits(pool, samples, *args), count, samples, budget)
+        return [list(range(count))] * len(rng_paths), 0
+    pool = reverse_reachable_pool(instance, samples, *(stream(*path) for path in rng_paths))
+    return _pool_greedy(hits(pool, samples, *args), count, samples, budget, len(rng_paths))
+
+
+def _pool_batch(instance, samples):
+    """Net points whose consumer pools fit in POOL_BUDGET bytes together (at least one).
+
+    Counts per point: the pool, its live-edge bits packed and as bytes, its
+    one-hot targets and hits unpacked as bytes, its hits as floats, and its
+    miss vector; and once per batch the raw words of one pool's edges, since
+    the generators draw them one at a time.
+    """
+    row = _word_bytes(samples)
+    edges, m = len(instance.social_edges), instance.n_consumers
+    per_point = edges * (row + samples) + m * (row + 10 * samples) + 8 * samples
+    return max(1, (POOL_BUDGET - edges * 8 * ((samples + 1) // 2)) // per_point)
 
 
 def solve(instance, config):
     """Run the full pipeline; returns (best SeedSolution, per-net-point report).
 
     Builds the one-sided net; at every net point i a greedy picks consumers
-    for the surrogate on an RR pool from (seed, "pool", i). The provider
-    phase depends on the consumer set alone, so it runs once per distinct
-    set, at the first point i that picks it: a greedy for the real
-    objective on an RR pool from (seed, "x", i), then a forward estimate of
-    the pair on (seed, "final", i). Rows of points that picked the same
+    for the surrogate on an RR pool from (seed, "pool", i). The points go in
+    batches of _pool_batch: a batch draws its pools in one call and runs
+    one greedy over all of them, and each point still picks what it would
+    pick alone. The provider phase depends on the consumer set alone, so
+    it runs once per distinct set, at the first point i that picks it: a
+    greedy for the real objective on an RR pool from (seed, "x", i), then a
+    forward estimate of the pair on (seed, "final", i). Rows of points that picked the same
     consumer set are one shared dict, whose net_point_index names the point
     that computed it and whose evaluations count that point's gains. The
     largest estimate wins (the first point on a tie) and is estimated once
@@ -187,29 +232,34 @@ def solve(instance, config):
     report = []
     rows = {}
     best = None
-    for i in range(count):
-        y_set, evaluations_y = _pool_pick(instance, m, b2, y_samples, (seed, "pool", i), _consumer_hits, net.points[i])
-        key = tuple(sorted(y_set))
-        if key not in rows:
-            x_set, evaluations_x = _pool_pick(
-                instance, n, b1, x_samples, (seed, "x", i), _provider_hits, key, instance.bipartite
-            )
-            final_path = (seed, "final", i)
-            value = estimate_sigma(
-                instance, x_set, key, FINAL_FACTOR * x_samples, stream(*final_path), stream_path=final_path
-            )
-            rows[key] = {
-                "net_point_index": i,
-                "providers": sorted(x_set),
-                "consumers": list(key),
-                "value": value.mean,
-                "std_error": value.std_error,
-                "evaluations_y": evaluations_y,
-                "evaluations_x": evaluations_x,
-            }
-            if best is None or value.mean > best[3].mean:
-                best = (i, x_set, key, value)
-        report.append(rows[key])
+    batch = _pool_batch(instance, y_samples)
+    for first in range(0, count, batch):
+        points = range(first, min(first + batch, count))
+        y_sets, evaluations_y = _pool_pick(
+            instance, m, b2, y_samples, [(seed, "pool", i) for i in points], _consumer_hits, net.points[points]
+        )
+        for i, y_set in zip(points, y_sets):
+            key = tuple(sorted(y_set))
+            if key not in rows:
+                [x_set], evaluations_x = _pool_pick(
+                    instance, n, b1, x_samples, [(seed, "x", i)], _provider_hits, key, instance.bipartite
+                )
+                final_path = (seed, "final", i)
+                value = estimate_sigma(
+                    instance, x_set, key, FINAL_FACTOR * x_samples, stream(*final_path), stream_path=final_path
+                )
+                rows[key] = {
+                    "net_point_index": i,
+                    "providers": sorted(x_set),
+                    "consumers": list(key),
+                    "value": value.mean,
+                    "std_error": value.std_error,
+                    "evaluations_y": evaluations_y,
+                    "evaluations_x": evaluations_x,
+                }
+                if best is None or value.mean > best[3].mean:
+                    best = (i, x_set, key, value)
+            report.append(rows[key])
 
     i, x_set, y_set, _ = best
     report_path = (seed, "report")

@@ -441,6 +441,23 @@ def test_reverse_reachable_pool_equals_a_backward_search(case, samples):
         assert not bits[:, samples:].any()  # padding stays clear for _propagate
 
 
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("samples", [1, 63, 65, 300])
+def test_each_pool_of_a_batch_equals_its_own_draw(monkeypatch, case, samples):
+    # pools drawn side by side, and through one _propagate, keep the bits of
+    # a draw from their generator alone, also when the one-hot rows and the
+    # edge draws go in chunks of one row
+    inst = KERNEL_CASES[case]
+    row = 8 * ((samples + 63) // 64)
+    alone = [diffusion.reverse_reachable_pool(inst, samples, stream(k, "batch-check")) for k in range(5)]
+    for budget in (1, diffusion.DRAW_BUDGET):
+        monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
+        pools = diffusion.reverse_reachable_pool(inst, samples, *(stream(k, "batch-check") for k in range(5)))
+        assert pools.dtype == np.uint8 and pools.shape == (inst.n_consumers, 5 * row)
+        for k, pool in enumerate(alone):
+            assert np.array_equal(pools[:, k * row : (k + 1) * row], pool), (budget, k)
+
+
 def test_pool_surrogate_matches_exact_rho_bar():
     # sigma_hat(s, Y) = m * E_k[1 - exp(-sum of s over RR_k and Y)] on a pool
     samples = 4000
@@ -508,8 +525,8 @@ def test_packed_draws_do_not_depend_on_the_chunk_size(monkeypatch, samples):
     for budget in (1, 1000, diffusion.DRAW_BUDGET):
         monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
         rng = CountingRng(5)
-        seeds = diffusion._packed_draws(rng, samples, init)
-        bits[budget] = np.vstack([seeds, diffusion._packed_draws(rng, samples, prob, order)])
+        seeds = diffusion._packed_draws([rng], samples, init)
+        bits[budget] = np.vstack([seeds, diffusion._packed_draws([rng], samples, prob, order)])
         rows = max(1, budget // (8 * ((samples + 1) // 2)))
         assert rng.calls == sum(math.ceil(n / rows) for n in drawn)
         assert diffusion._batch_spread(inst, init, samples, CountingRng(5)) == want
@@ -522,19 +539,19 @@ def test_certain_rows_draw_nothing():
     samples = 100
     probs = np.array([0.0, 1.0, 0.3, 1.0, 0.0])
     rng = CountingRng(3)
-    bits = np.unpackbits(diffusion._packed_draws(rng, samples, probs), axis=1, count=samples).astype(bool)
+    bits = np.unpackbits(diffusion._packed_draws([rng], samples, probs), axis=1, count=samples).astype(bool)
     assert rng.calls == 1
     assert not bits[[0, 4]].any() and bits[[1, 3]].all()
     assert np.array_equal(bits[2], reference_draws(np.random.default_rng(3), samples, [0.3])[:, 0])
     rng = CountingRng(3)
-    diffusion._packed_draws(rng, samples, probs[[0, 1, 3, 4]])
+    diffusion._packed_draws([rng], samples, probs[[0, 1, 3, 4]])
     assert rng.calls == 0
 
 
 @pytest.mark.parametrize("samples", [1, 63, 64, 65, 1001])
 def test_padding_bits_stay_clear(samples):
     probs = np.array([0.0, 0.3, 0.999, 1.0])
-    out = diffusion._packed_draws(np.random.default_rng(samples), samples, probs)
+    out = diffusion._packed_draws([np.random.default_rng(samples)], samples, probs)
     assert out.dtype == np.uint8 and out.shape == (4, 8 * ((samples + 63) // 64))
     bits = np.unpackbits(out, axis=1)
     assert not bits[:, samples:].any()
@@ -544,7 +561,7 @@ def test_padding_bits_stay_clear(samples):
 @pytest.mark.parametrize("p", [1e-3, 0.25, 0.5, 0.999])
 def test_row_frequencies_match_their_probabilities(p):
     samples = 1 << 20
-    out = diffusion._packed_draws(stream(0, "freq", str(p)), samples, np.array([p]))
+    out = diffusion._packed_draws([stream(0, "freq", str(p))], samples, np.array([p]))
     hits = int(np.unpackbits(out).sum())
     assert abs(hits / samples - p) <= 5.0 * math.sqrt(p * (1.0 - p) / samples)
 
@@ -560,7 +577,7 @@ def test_thresholds_round_down_to_multiples_of_two_to_the_minus_32():
         (0x8000_0000_8000_0000, [0.5, 0.5 + 2.0**-32], [False, True]),
     ]
     for word, probs, fires in cases:
-        out = diffusion._packed_draws(ConstantRaw(word), 9, np.array(probs))
+        out = diffusion._packed_draws([ConstantRaw(word)], 9, np.array(probs))
         for row, fire in zip(np.unpackbits(out, axis=1, count=9), fires, strict=True):
             assert row.all() if fire else not row.any()
 

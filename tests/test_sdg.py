@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from amphimax import sdg
+from amphimax import diffusion, sdg
 from amphimax._rng import stream
 from amphimax.diffusion import (
     DEFAULT_MC_EPS,
@@ -263,7 +263,7 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool():
         pool = reverse_reachable_pool(inst, samples, stream(k, "greedy-check"))
         pool[6] = pool[1]
         budget = 1 + k % 8  # greedy_max returns the whole ground set at 9
-        picks, evaluations = sdg._pool_greedy(sdg._consumer_hits(pool, samples, s), 9, samples, budget)
+        [picks], evaluations = sdg._pool_greedy(sdg._consumer_hits(pool, samples, s), 9, samples, budget)
         want, _ = greedy_max(_consumer_oracle(pool, samples, s), range(9), budget)
         assert picks == want
         assert evaluations == sum(9 - t for t in range(budget)) <= 9 * budget + 9 + 1
@@ -282,11 +282,11 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool():
         Y = tuple(sorted(np.random.default_rng([k, 4]).choice(7, 1 + k % 5, replace=False).tolist()))
         pool = reverse_reachable_pool(inst, samples, stream(k, "provider-check"))
         hits = sdg._provider_hits(pool, samples, Y, M)
-        picks, evaluations = sdg._pool_greedy(hits, 9, samples, budget)
+        [picks], evaluations = sdg._pool_greedy(hits, 9, samples, budget)
         want, _ = greedy_max(_provider_oracle(pool, samples, Y, M), range(9), budget)
         assert picks == want, k
         assert evaluations == sum(9 - t for t in range(budget))
-        assert np.allclose(hits(0, 9), 1.0 - _pool_keep(pool, samples, Y, M), rtol=0.0, atol=1e-12)
+        assert np.allclose(hits(np.arange(9)), 1.0 - _pool_keep(pool, samples, Y, M), rtol=0.0, atol=1e-12)
 
 
 def test_pool_greedy_gains_in_row_chunks(monkeypatch):
@@ -301,7 +301,7 @@ def test_pool_greedy_gains_in_row_chunks(monkeypatch):
     monkeypatch.setattr(sdg, "DRAW_BUDGET", 2 * 8 * 500)
     assert sdg._pool_greedy(sdg._consumer_hits(pool, 500, s), 9, 500, 4) == consumers
     chunked_hits = sdg._provider_hits(pool, 500, Y, inst.bipartite)
-    assert np.allclose(chunked_hits(0, 9), provider_hits(0, 9), rtol=0.0, atol=1e-12)
+    assert np.allclose(chunked_hits(np.arange(9)), provider_hits(np.arange(9)), rtol=0.0, atol=1e-12)
     assert sdg._pool_greedy(chunked_hits, 9, 500, 4) == providers
 
 
@@ -314,7 +314,7 @@ def test_pool_estimate_of_sigma_matches_exact_sigma():
         X = tuple(pick.choice(5, 1 + k % 3, replace=False).tolist())
         Y = tuple(sorted(pick.choice(6, 2 + k % 3, replace=False).tolist()))
         pool = reverse_reachable_pool(inst, samples, stream(k, "sigma-check"))
-        hits = sdg._provider_hits(pool, samples, Y, inst.bipartite)(0, 5)
+        hits = sdg._provider_hits(pool, samples, Y, inst.bipartite)(np.arange(5))
         values = 6.0 * (1.0 - np.prod(1.0 - hits[list(X)], axis=0))
         se = values.std(ddof=1) / math.sqrt(samples)
         want = exact_sigma(inst, X, Y)
@@ -332,7 +332,7 @@ def test_provider_phase_memory_is_bounded(monkeypatch):
     Y = tuple(range(0, 3000, 3))
     tracemalloc.start()
     try:
-        picks, _ = sdg._pool_pick(inst, 20, 6, samples, (0, "x", 0), sdg._provider_hits, Y, inst.bipartite)
+        [picks], _ = sdg._pool_pick(inst, 20, 6, samples, [(0, "x", 0)], sdg._provider_hits, Y, inst.bipartite)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -373,51 +373,116 @@ def test_sample_counts_follow_the_union_bounds():
 
 
 def _recording(monkeypatch):
-    """Record the stream path of every RR pool that solve draws, in order."""
-    paths, pools = {}, []
+    """Record every batch of RR pools that solve draws, in order: (stream paths, pool size)."""
+    paths, draws = {}, []
 
     def recording_stream(*path):
         rng = stream(*path)
         paths[id(rng)] = (rng, path)
         return rng
 
-    def recording_pool(instance, samples, rng):
-        pools.append((paths[id(rng)][1], samples))
-        return reverse_reachable_pool(instance, samples, rng)
+    def recording_pool(instance, samples, *rngs):
+        draws.append(([paths[id(rng)][1] for rng in rngs], samples))
+        return reverse_reachable_pool(instance, samples, *rngs)
 
     monkeypatch.setattr(sdg, "stream", recording_stream)
     monkeypatch.setattr(sdg, "reverse_reachable_pool", recording_pool)
-    return pools
+    return draws
+
+
+def _pools(draws):
+    """The stream path of every pool drawn, in order."""
+    return [path for batch, _ in draws for path in batch]
 
 
 def test_samples_sets_the_pool_size_too(monkeypatch):
     inst = gen_rank_r(3, 4, 1, social_edge_count=3, factor_low=0.3, seed=8)
-    pools = _recording(monkeypatch)
+    draws = _recording(monkeypatch)
     sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
     distinct = len({tuple(row["consumers"]) for row in report})
-    # one consumer pool per net point and one provider pool per consumer set
-    assert [path[1] for path, _ in pools].count("x") == distinct
-    assert [samples for _, samples in pools] == [50] * (len(report) + distinct)
+    # one consumer pool per net point and one provider pool per consumer set,
+    # all of the given size
+    pools = _pools(draws)
+    assert [path for path in pools if path[1] == "pool"] == [(0, "pool", i) for i in range(len(report))]
+    assert [path[1] for path in pools].count("x") == distinct
+    assert len(pools) == len(report) + distinct
+    assert {samples for _, samples in draws} == {50}
     assert sol.value.samples == FINAL_FACTOR * 50
 
 
 def test_all_consumers_budget_draws_no_pool(monkeypatch):
     inst = gen_rank_r(3, 3, 1, social_edge_count=2, seed=3, budget_consumers=3)
-    pools = _recording(monkeypatch)
+    draws = _recording(monkeypatch)
     sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
     assert sol.consumers == (0, 1, 2)
     assert all(row["evaluations_y"] == 0 for row in report)
     # no consumer pool; the one consumer set still gets its provider pool
-    assert [path for path, _ in pools] == [(0, "x", 0)]
+    assert draws == [([(0, "x", 0)], 50)]
 
 
 def test_all_providers_budget_draws_no_provider_pool(monkeypatch):
     inst = gen_rank_r(3, 3, 1, social_edge_count=2, seed=3, budget_providers=3)
-    pools = _recording(monkeypatch)
+    draws = _recording(monkeypatch)
     sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
     assert sol.providers == (0, 1, 2)
     assert all(row["evaluations_x"] == 0 and row["providers"] == [0, 1, 2] for row in report)
-    assert [path for path, _ in pools] == [(0, "pool", i) for i in range(len(report))]
+    assert _pools(draws) == [(0, "pool", i) for i in range(len(report))]
+
+
+def _per_point_consumers(inst, config, samples):
+    """Sorted consumer picks at every net point, each from its own pool and greedy."""
+    net = build_net(inst.bipartite, numerical_rank(inst.bipartite), config.epsilon, inst.bit_precision)
+    m, b2 = inst.n_consumers, inst.budget_consumers
+    picks = []
+    for i, s in enumerate(net.points):
+        pool = reverse_reachable_pool(inst, samples, stream(config.master_seed, "pool", i))
+        [chosen], _ = sdg._pool_greedy(sdg._consumer_hits(pool, samples, s), m, samples, b2)
+        picks.append(sorted(chosen))
+    return picks
+
+
+def test_batched_consumer_phase_picks_what_each_point_picks(monkeypatch):
+    base = gen_rank_r(4, 5, 1, social_edge_count=7, seed=70)
+    cases = {
+        "random edges": (base.social_edges, 1),
+        "certain edges": (((0, 1, 1.0), (1, 2, 1.0), (3, 2, 0.4), (2, 4, 1.0)), 1),
+        "no edges": ((), 1),
+        "b2 > 1": (base.social_edges, 3),
+        "b2 = m": (base.social_edges, 5),
+    }
+    for name, (edges, b2) in cases.items():
+        inst = make_instance(base.bipartite, edges, b2=b2, lam=base.bit_precision)
+        config = SdgConfig(epsilon=0.6, samples_per_eval=100, master_seed=len(name))
+        want = _per_point_consumers(inst, config, 100)
+        # the smallest budget that gives each batch size
+        budgets = {}
+        for k in range(41):
+            monkeypatch.setattr(sdg, "POOL_BUDGET", 1 << k)
+            budgets.setdefault(sdg._pool_batch(inst, 100), 1 << k)
+        assert min(budgets) == 1 and max(budgets) >= len(want)
+        # one point per batch, a last batch cut short inside the net, one batch
+        # for the net, and that last batch size with gains in chunks of 2 rows
+        inside = min(size for size in budgets if 1 < size < len(want) and len(want) % size)
+        for size, rows in ((1, None), (inside, None), (max(budgets), None), (inside, 2)):
+            monkeypatch.setattr(sdg, "POOL_BUDGET", budgets[size])
+            monkeypatch.setattr(sdg, "DRAW_BUDGET", rows * 8 * size * 100 if rows else diffusion.DRAW_BUDGET)
+            _, report = solve(inst, config)
+            assert [row["consumers"] for row in report] == want, (name, size)
+            assert {row["evaluations_y"] for row in report} == {sum(5 - t for t in range(b2)) if b2 < 5 else 0}
+
+
+def test_batched_solve_memory_is_bounded():
+    # the 4x3 rank-2 rung: 559 net points, drawn and searched in batches
+    # under POOL_BUDGET (one point at a time peaked at 0.29 MiB)
+    inst = gen_rank_r(4, 3, 2, social_edge_count=2, seed=3)
+    tracemalloc.start()
+    try:
+        _, report = solve(inst, SdgConfig(epsilon=0.8, master_seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report) == 559
+    assert peak < 1.5 * 2**20
 
 
 def test_independent_pools_reach_the_optimum_on_instance_518():
@@ -432,7 +497,7 @@ def test_independent_pools_reach_the_optimum_on_instance_518():
 def test_provider_phase_runs_once_per_consumer_set(monkeypatch):
     inst = gen_rank_r(4, 3, 2, social_edge_count=2, seed=3)
     seed = 4
-    pools = _recording(monkeypatch)
+    draws = _recording(monkeypatch)
     estimates = []
 
     def recording_estimate(instance, X, Y, samples, rng, stream_path=None):
@@ -453,15 +518,19 @@ def test_provider_phase_runs_once_per_consumer_set(monkeypatch):
         assert (row["net_point_index"] == k) == (first[tuple(row["consumers"])] == k)
         # b1 = 1 of n = 4 providers: one greedy step over all four
         assert row["evaluations_x"] == 4
-    # one provider pool per consumer set, on (seed, "x", i) with i the first
-    # point that picked it, right after that point's consumer pool
+    # the consumer pools of every net point, in order, in batches of the
+    # size _pool_batch gives; one provider pool per consumer set, on
+    # (seed, "x", i) with i the first point that picked it, drawn after the
+    # batch that holds that point's consumer pool
     starts = sorted(first.values())
-    want = []
-    for k in range(len(report)):
-        want.append((seed, "pool", k))
-        if k in starts:
-            want.append((seed, "x", k))
-    assert [path for path, _ in pools] == want
+    consumers = [paths for paths, _ in draws if paths[0][1] == "pool"]
+    size = sdg._pool_batch(inst, sdg._auto_samples(inst, SdgConfig(epsilon=0.8), len(report))[0])
+    assert 1 < size < len(report)
+    assert [len(paths) for paths in consumers] == [min(size, len(report) - k) for k in range(0, len(report), size)]
+    assert [path for paths in consumers for path in paths] == [(seed, "pool", k) for k in range(len(report))]
+    assert [paths for paths, _ in draws if paths[0][1] == "x"] == [[(seed, "x", k)] for k in starts]
+    drawn = _pools(draws)
+    assert all(drawn.index((seed, "x", k)) > drawn.index((seed, "pool", k)) for k in starts)
     # the forward estimator scores pairs only: one per consumer set, then the winner
     assert estimates == [(seed, "final", k) for k in starts] + [(seed, "report")]
     assert report[sol.net_point_index]["net_point_index"] == sol.net_point_index
