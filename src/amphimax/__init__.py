@@ -25,27 +25,25 @@ from .generators import (
     gen_rank_r,
     gen_three_layer,
 )
-from .greedy import GreedyTrace, greedy_max
+from .greedy import greedy_max
 from .instance import (
     AimInstance,
     InstanceFormatError,
     InstanceValidationError,
     RankBasis,
     dump_json,
-    min_bit_precision,
     numerical_rank,
     parse_instance,
     serialize_instance,
     validate,
 )
-from .net import EpsilonNet, NetSizeError, build_grid, build_net
+from .net import EpsilonNet, NetSizeError, build_net
 from .relaxation import indicator, initial_activation, net_relaxation
 from .sdg import SdgConfig, SeedSolution, approximation_ratio, brute_force_opt, solve
 
 __all__ = [
     "AimInstance",
     "EpsilonNet",
-    "GreedyTrace",
     "InstanceFormatError",
     "InstanceValidationError",
     "NetSizeError",
@@ -55,7 +53,6 @@ __all__ = [
     "SpreadEstimate",
     "approximation_ratio",
     "brute_force_opt",
-    "build_grid",
     "build_net",
     "default_sample_count",
     "dump_json",
@@ -71,7 +68,6 @@ __all__ = [
     "greedy_max",
     "indicator",
     "initial_activation",
-    "min_bit_precision",
     "net_relaxation",
     "numerical_rank",
     "parse_instance",

@@ -13,8 +13,8 @@ from .relaxation import indicator, initial_activation, net_relaxation
 EXACT_EDGE_LIMIT = 22
 DEFAULT_MC_EPS = 0.05
 DEFAULT_MC_DELTA = 0.01
-# bytes of raw generator words drawn, or of runs unpacked, at once by the
-# cascade kernel (at least one row)
+# bytes of raw generator words, unpacked runs or float hits that one chunk of
+# the kernel or of the pool greedy holds (at least one row; see _chunks)
 DRAW_BUDGET = 1 << 24
 
 
@@ -46,34 +46,40 @@ class SpreadEstimate:
 def _edge_arrays(instance):
     """Social edges grouped by target.
 
-    Returns (src, prob, order, heads, cuts): `prob` in instance order, `order`
-    the stable permutation that sorts edges by target, `src` the sources in
-    that order, and `heads[k]` the target whose edges start at row `cuts[k]`.
+    Returns (src, prob, heads, cuts): edges in the stable order of their
+    targets, `src` and `prob` their sources and probabilities in that order,
+    and `heads[k]` the target whose edges start at row `cuts[k]`.
     """
     edges = instance.social_edges
     # one pass over all triples (np.array on the tuples converts slower); consumer
     # indices are far below 2**53, so they round-trip through float exactly
     flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=float, count=3 * len(edges))
-    src, dst, prob = flat.reshape(-1, 3).T.copy()
+    src, dst, prob = flat.reshape(-1, 3).T
     order = np.argsort(dst, kind="stable")
-    src = src.astype(np.intp)[order]
     heads, cuts = np.unique(dst[order].astype(np.intp), return_index=True)
-    return src, prob, order, heads, cuts
+    return src[order].astype(np.intp), prob[order], heads, cuts
 
 
 @lru_cache(maxsize=256)
 def _reversed_edges(instance):
     """Social edges reversed, in the layout of _edge_arrays.
 
-    Edge u -> v becomes v -> u, so `src` holds original targets, `heads` the
-    original sources, and `order` the instance index of each reversed edge.
-    Cached apart from _edge_arrays: only reverse_reachable_pool needs it.
+    Edge u -> v becomes v -> u, so `src` holds original targets and `heads`
+    the original sources. Cached apart from _edge_arrays: only
+    reverse_reachable_pool needs it.
     """
-    src, prob, order, heads, cuts = _edge_arrays(instance)
+    src, prob, heads, cuts = _edge_arrays(instance)
     dst = np.repeat(heads, np.diff(np.append(cuts, src.size)))
     by_src = np.argsort(src, kind="stable")
     rev_heads, rev_cuts = np.unique(src[by_src], return_index=True)
-    return dst[by_src], prob, order[by_src], rev_heads, rev_cuts
+    return dst[by_src], prob[by_src], rev_heads, rev_cuts
+
+
+def _chunks(count, row_bytes):
+    """Slices covering range(count) in order, of at least one row and at most DRAW_BUDGET bytes each."""
+    rows = max(1, DRAW_BUDGET // row_bytes)
+    for start in range(0, count, rows):
+        yield slice(start, min(start + rows, count))
 
 
 def _word_bytes(runs):
@@ -89,47 +95,36 @@ def _pack_runs(bits):
     return out
 
 
-def _pack_last(bits):
-    """np.packbits(bits, axis=-1), packed along the rows of a 2-D view, which numpy does faster."""
-    return np.packbits(bits.reshape(-1, bits.shape[-1]), axis=1).reshape(bits.shape[:-1] + (-1,))
-
-
-def _packed_draws(rngs, samples, probs, order=None):
+def _packed_draws(rngs, samples, probs):
     """Bernoulli(p) bits for `samples` runs per generator, packed 8 runs per byte, 64 per word.
 
-    Row k of the (probs.size, len(rngs) * 8 * ceil(samples/64)) uint8 result
-    holds the runs of p = probs[order[k]] (probs[k] without `order`); bytes
-    [b * 8 * ceil(samples/64), (b + 1) * 8 * ceil(samples/64)) hold those of
-    generator rngs[b], in np.packbits order, padded to whole 64-bit words,
-    and every bit past `samples` is 0. A row with p <= 0 stays clear and a
-    row with p >= 1 is set, and neither draws. Every other row, in row
-    order, takes ceil(samples/2) raw 64-bit words of each generator's
-    bit_generator, split into 32-bit halves in memory order, and run j
-    fires when half j is below floor(p * 2**32): p is rounded down to a
-    multiple of 2**-32, so a p below 2**-32 never fires. Rows go in chunks
-    whose raw words from one generator stay under DRAW_BUDGET bytes (at
-    least one row), and a chunk's fired bits take one byte per run and
-    generator; the bits do not depend on the chunk size, and consecutive
-    calls continue each generator's stream.
+    Row k of the result holds len(rngs) * samples runs of p = probs[k], packed
+    as by _pack_runs: runs [b * samples, (b + 1) * samples) come from
+    generator rngs[b]. A row with p <= 0 stays clear and a row with p >= 1
+    is set, and neither draws. Every other row, in row order, takes
+    ceil(samples/2) raw 64-bit words of each generator's bit_generator,
+    split into 32-bit halves in memory order, and run j fires when half j is
+    below floor(p * 2**32): p is rounded down to a multiple of 2**-32, so a
+    p below 2**-32 never fires. Rows go in _chunks of their raw words from
+    one generator, and a chunk's fired bits take one byte per run; the bits
+    do not depend on the chunk size, and consecutive calls continue each
+    generator's stream.
     """
-    p = probs if order is None else probs[order]
-    row = _word_bytes(samples)
-    out = np.zeros((p.size, len(rngs) * row), dtype=np.uint8)
-    runs = out.reshape(p.size, len(rngs), row)[:, :, : (samples + 7) // 8]
-    runs[p >= 1.0] = np.packbits(np.ones(samples, dtype=bool))
-    drawn = np.flatnonzero((p > 0.0) & (p < 1.0))
+    runs = len(rngs) * samples
+    out = np.zeros((probs.size, _word_bytes(runs)), dtype=np.uint8)
+    out[probs >= 1.0] = _pack_runs(np.ones((1, runs), dtype=bool))
+    drawn = np.flatnonzero((probs > 0.0) & (probs < 1.0))
     # exact for p in (0, 1): scaling by 2**32 is exact and the cast truncates
-    thresholds = (p[drawn] * 2.0**32).astype(np.uint32)[:, None]
+    thresholds = (probs[drawn] * 2.0**32).astype(np.uint32)[:, None]
     words = (samples + 1) // 2
-    rows = max(1, DRAW_BUDGET // (8 * words))
-    for start in range(0, drawn.size, rows):
-        part = drawn[start : start + rows]
-        fired = np.empty((part.size, len(rngs), samples), dtype=bool)
+    for part in _chunks(drawn.size, 8 * words):
+        rows = drawn[part]
+        fired = np.empty((rows.size, runs), dtype=bool)
         for b, rng in enumerate(rngs):
-            halves = rng.bit_generator.random_raw(part.size * words).view(np.uint32).reshape(part.size, -1)
-            np.less(halves[:, :samples], thresholds[start : start + rows], out=fired[:, b])
+            halves = rng.bit_generator.random_raw(rows.size * words).view(np.uint32).reshape(rows.size, -1)
+            np.less(halves[:, :samples], thresholds[part], out=fired[:, b * samples : (b + 1) * samples])
             del halves  # free these words before the next generator draws its own
-        runs[part] = _pack_last(fired)
+        out[rows] = _pack_runs(fired)
     return out
 
 
@@ -168,7 +163,7 @@ def _batch_spread(instance, init_probs, samples, rng):
     64 runs per word, drawn by _packed_draws (the seeds one row per
     consumer, then the edges one row per edge in target order). Memory is
     O((m + E) * ceil(samples/64) * 8) bytes plus one chunk under
-    DRAW_BUDGET bytes: the draws go in chunks of rows, and so does the
+    DRAW_BUDGET bytes: the draws go in _chunks of rows, and so does the
     count of each run's total, which unpacks the consumer rows a chunk at a
     time (one byte per run and row). When every init probability is 0 no
     run seeds anyone, so the call returns (0.0, 0.0) without drawing and
@@ -177,13 +172,12 @@ def _batch_spread(instance, init_probs, samples, rng):
     if not init_probs.any():
         return 0.0, 0.0
     active = _packed_draws([rng], samples, init_probs)
-    src, prob, order, heads, cuts = _edge_arrays(instance)
+    src, prob, heads, cuts = _edge_arrays(instance)
     if src.size:
-        _propagate(active, _packed_draws([rng], samples, prob, order), src, heads, cuts)
+        _propagate(active, _packed_draws([rng], samples, prob), src, heads, cuts)
     totals = np.zeros(samples)
-    rows = max(1, DRAW_BUDGET // samples)
-    for start in range(0, active.shape[0], rows):
-        totals += np.unpackbits(active[start : start + rows], axis=1, count=samples).sum(axis=0)
+    for part in _chunks(active.shape[0], samples):
+        totals += np.unpackbits(active[part], axis=1, count=samples).sum(axis=0)
     mean = float(totals.mean())
     std_error = float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, std_error
@@ -197,30 +191,23 @@ def reverse_reachable_pool(instance, samples, *rngs):
     al., SODA 2014). Each generator draws its own pool: the targets first,
     from rng.integers, then the live edges from _packed_draws, one row per
     edge in the order of _reversed_edges (by original source, then target).
-    The pools sit side by side, pool b in bytes [b * W, (b + 1) * W) of
-    every row, W = 8 * ceil(samples/64), and all of them go through one
-    _propagate on the reversed edges, seeded one-hot at the targets. Bit k
-    of pool b in row u of the (m, len(rngs) * W) uint8 result, padded as in
-    _pack_runs, is set when u is in RR set k of pool b; a pool's bits do not
-    depend on the other generators. Seeding each consumer u independently
-    with probability p_u then spreads to m * E_k[1 - prod_{u in RR_k} (1 - p_u)]
-    in expectation.
+    The pools share one run axis: pool b holds runs [b * samples,
+    (b + 1) * samples) of every row, and all of them go through one
+    _propagate on the reversed edges, seeded one-hot at the targets (in
+    _chunks of consumers). Bit b * samples + k in row u of the (m, W) uint8
+    result, packed as by _pack_runs, is set when u is in RR set k of pool b;
+    a pool's bits do not depend on the other generators. Seeding each
+    consumer u independently with probability p_u then spreads to
+    m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in expectation.
     """
     m = instance.n_consumers
-    targets = [rng.integers(0, m, size=samples) for rng in rngs]
-    pool = np.zeros((m, len(rngs) * _word_bytes(samples)), dtype=np.uint8)
-    runs = pool.reshape(m, len(rngs), -1)[:, :, : (samples + 7) // 8]
-    # one-hot rows in chunks of consumers whose unpacked bits stay under DRAW_BUDGET bytes
-    rows = max(1, DRAW_BUDGET // (len(rngs) * samples))
-    for start in range(0, m, rows):
-        consumers = np.arange(start, min(start + rows, m))[:, None]
-        onehot = np.empty((consumers.size, len(rngs), samples), dtype=bool)
-        for b, drawn in enumerate(targets):
-            np.equal(drawn, consumers, out=onehot[:, b])
-        runs[start : start + rows] = _pack_last(onehot)
-    src, prob, order, heads, cuts = _reversed_edges(instance)
+    targets = np.concatenate([rng.integers(0, m, size=samples) for rng in rngs])
+    pool = np.empty((m, _word_bytes(targets.size)), dtype=np.uint8)
+    for part in _chunks(m, targets.size):
+        pool[part] = _pack_runs(np.arange(part.start, part.stop)[:, None] == targets)
+    src, prob, heads, cuts = _reversed_edges(instance)
     if src.size:
-        _propagate(pool, _packed_draws(rngs, samples, prob, order), src, heads, cuts)
+        _propagate(pool, _packed_draws(rngs, samples, prob), src, heads, cuts)
     return pool
 
 
@@ -266,10 +253,9 @@ def _exact_spread(instance, F):
     live-edge world consumer v ends active with probability
     1 - prod_{u reaches v} (1 - F[b, u]) (Kempe, Kleinberg & Tardos, KDD 2003).
     Every (world, seed) pair is one packed run of _propagate; worlds go in
-    chunks that keep the working arrays near DRAW_BUDGET bytes.
+    _chunks that keep the working arrays near DRAW_BUDGET bytes.
     """
-    src, prob, order, heads, cuts = _edge_arrays(instance)
-    prob = prob[order]
+    src, prob, heads, cuts = _edge_arrays(instance)
     stoch = np.flatnonzero(prob < 1.0)
     k = stoch.size
     if k > EXACT_EDGE_LIMIT:
@@ -289,9 +275,8 @@ def _exact_spread(instance, F):
     # bytes per world: reach as floats, two (m, B) float arrays, unpacked live
     # bits, and the world's edge bits and factors
     per_world = 8 * (m * (seeds.size + 2 * F.shape[0]) + src.size * seeds.size + 2 * k)
-    chunk = max(1, DRAW_BUDGET // per_world)
-    for first in range(0, 1 << k, chunk):
-        worlds = np.arange(first, min(first + chunk, 1 << k))
+    for part in _chunks(1 << k, per_world):
+        worlds = np.arange(part.start, part.stop)
         bits = ((worlds[:, None] >> np.arange(k)) & 1).astype(bool)
         weight = np.where(bits, prob[stoch], 1.0 - prob[stoch]).prod(axis=1)
         active = _pack_runs(np.tile(start, worlds.size))

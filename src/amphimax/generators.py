@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from ._rng import stream
-from .instance import AimInstance, InstanceValidationError, _budget_violations, _integer, min_bit_precision
+from .instance import AimInstance, InstanceValidationError, _integer, _scalar_violations, min_bit_precision
 
 
 def random_digraph(m, edge_count, rng, prob_high=0.5):
@@ -46,6 +46,8 @@ def gen_rank_r(
         raise ValueError(f"rank {r} must lie in [1, min({n},{m})]")
     if not 0.0 <= factor_low < 1.0:
         raise ValueError(f"factor_low must lie in [0,1), got {factor_low}")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge_prob must lie in [0,1], got {edge_prob}")
     rng = stream(seed, "rank_r", n, m, r)
     scale = 1.0 / math.sqrt(r)
     A = (factor_low + (1.0 - factor_low) * rng.random((n, r))) * scale
@@ -55,11 +57,11 @@ def gen_rank_r(
     M = np.clip(A @ B, 0.0, 1.0)
     edges = random_digraph(m, social_edge_count, rng)
     lam = bit_precision if bit_precision is not None else min_bit_precision(M)
-    if 2.0 ** -lam > M[M > 0].min(initial=1.0):
+    if math.ldexp(1.0, -lam) > M[M > 0].min(initial=1.0):
         raise ValueError(
             f"bit_precision {lam} too coarse: floor 2^-{lam} exceeds the smallest nonzero entry"
         )
-    return AimInstance(
+    inst = AimInstance(
         n_providers=n,
         n_consumers=m,
         bipartite=M,
@@ -68,6 +70,10 @@ def gen_rank_r(
         budget_consumers=max(1, m // 3) if budget_consumers is None else budget_consumers,
         bit_precision=lam,
     )
+    violations = _scalar_violations(inst)
+    if violations:
+        raise InstanceValidationError(violations)
+    return inst
 
 
 def gen_planted_biclique(n_vertices, k, seed=0):
@@ -146,9 +152,6 @@ def gen_three_layer(k, groups, bottom_per_group, middle_per_group=1, seed=0):
         for mid in middles:
             for bot in bottoms:
                 edges.append((mid, bot, 1.0))
-    lam = 1
-    while 2.0 ** -lam > 1.0 / k:
-        lam += 1
     return AimInstance(
         n_providers=n,
         n_consumers=m,
@@ -156,7 +159,7 @@ def gen_three_layer(k, groups, bottom_per_group, middle_per_group=1, seed=0):
         social_edges=tuple(edges),
         budget_providers=k,
         budget_consumers=groups,
-        bit_precision=lam,
+        bit_precision=min_bit_precision(M),
     )
 
 
@@ -224,7 +227,7 @@ def gen_from_params(family, params, seed):
             middle_per_group=params.get("middle", 1),
             seed=seed,
         )
-    violations = _budget_violations(inst)
+    violations = _scalar_violations(inst)
     if violations:
         raise InstanceValidationError(violations)
     return inst, extras

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,6 @@ def validate(instance):
         v.append("n_providers must be at least 1")
     if m < 1:
         v.append("n_consumers must be at least 1")
-    if instance.bit_precision < 1:
-        v.append("bit_precision must be at least 1")
     if mat.shape != (n, m):
         v.append(f"matrix shape {mat.shape} does not match ({n}, {m})")
         return v
@@ -137,7 +136,7 @@ def validate(instance):
         return v
     for i, j in np.argwhere((mat < 0.0) | (mat > 1.0)):
         v.append(f"entry out of [0,1] at ({i},{j})")
-    floor = 2.0 ** -instance.bit_precision
+    floor = math.ldexp(1.0, -instance.bit_precision)
     for i, j in np.argwhere((mat > 0.0) & (mat < floor)):
         v.append(f"nonzero entry below 2^-{instance.bit_precision} at ({i},{j})")
     seen = set()
@@ -152,12 +151,22 @@ def validate(instance):
         if (u, w) in seen:
             v.append(f"duplicate edge ({u},{w}) at index {k}")
         seen.add((u, w))
-    return v + _budget_violations(instance)
+    return v + _scalar_violations(instance)
 
 
-def _budget_violations(instance):
-    """The part of validate that checks the two budgets against their ground sets."""
+def _scalar_violations(instance):
+    """The part of validate that checks bit_precision and the two budgets.
+
+    The net grid runs from 2**-bit_precision past n_providers in steps of 1 + eps:
+    n_providers * 2**bit_precision below 2**1023 keeps every step up to 2 in floats.
+    """
     v = []
+    n, lam = instance.n_providers, instance.bit_precision
+    top = 1023 - int(n).bit_length()
+    if lam < 1:
+        v.append("bit_precision must be at least 1")
+    elif lam > top:
+        v.append(f"bit_precision {lam} exceeds {top}: n_providers * 2^bit_precision must stay below 2^1023")
     for side, budget, size in (
         ("provider", instance.budget_providers, instance.n_providers),
         ("consumer", instance.budget_consumers, instance.n_consumers),
@@ -206,16 +215,8 @@ def numerical_rank(M, tol=RANK_TOL):
 def min_bit_precision(M):
     """Smallest lambda such that every nonzero entry of M is >= 2**-lambda."""
     M = np.asarray(M, dtype=float)
-    nz = M[M > 0]
-    if nz.size == 0:
-        return 1
-    lo = float(nz.min())
-    lam = 1
-    while 2.0 ** -lam > lo:
-        lam += 1
-        if lam > 1074:
-            raise ValueError("matrix entries too small for any usable bit precision")
-    return lam
+    # the smallest entry is f * 2**e with 0.5 <= f < 1, so 2**(e-1) is at most it and 2**e is not
+    return max(1, 1 - math.frexp(M.min(initial=1.0, where=M > 0))[1])
 
 
 # int(), float() and np.array(dtype=float) also take JSON true, false and

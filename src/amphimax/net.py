@@ -43,12 +43,8 @@ class EpsilonNet:
         return int(self.points.shape[0])
 
 
-def build_grid(bit_precision, epsilon, n):
-    """Geometric grid of candidate coordinate values, as a read-only array.
-
-    Starts at 0, then 2**-bit_precision, multiplying by (1+epsilon) until the
-    first value >= n, which is the largest any coordinate of x^T M can reach.
-    """
+def _grid_steps(bit_precision, epsilon, n):
+    """The least k with 2**-bit_precision * (1+epsilon)**k >= n: build_grid's length is k + 2."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon}")
     if bit_precision < 1:
@@ -56,13 +52,27 @@ def build_grid(bit_precision, epsilon, n):
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     base = 2.0 ** -bit_precision
-    k = max(0, math.ceil(math.log(n / base) / math.log1p(epsilon)))
+    # log(n / base) without the quotient, which passes the float range first
+    k = max(0, math.ceil((math.log(n) + bit_precision * math.log(2.0)) / math.log1p(epsilon)))
     # fix up float fuzz in the log: k must be minimal with base*(1+eps)**k >= n
-    while base * (1.0 + epsilon) ** k < n:
-        k += 1
-    while k > 0 and base * (1.0 + epsilon) ** (k - 1) >= n:
-        k -= 1
-    values = np.concatenate(([0.0], base * (1.0 + epsilon) ** np.arange(k + 1)))
+    try:
+        while base * (1.0 + epsilon) ** k < n:
+            k += 1
+        while k > 0 and base * (1.0 + epsilon) ** (k - 1) >= n:
+            k -= 1
+    except OverflowError:
+        raise ValueError(f"a grid from 2^-{bit_precision} in steps of 1+{epsilon} passes the float range") from None
+    return k
+
+
+def build_grid(bit_precision, epsilon, n):
+    """Geometric grid of candidate coordinate values, as a read-only array.
+
+    Starts at 0, then 2**-bit_precision, multiplying by (1+epsilon) until the
+    first value >= n, which is the largest any coordinate of x^T M can reach.
+    """
+    k = _grid_steps(bit_precision, epsilon, n)
+    values = np.concatenate(([0.0], 2.0 ** -bit_precision * (1.0 + epsilon) ** np.arange(k + 1)))
     values.setflags(write=False)
     return values
 
@@ -100,8 +110,8 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
     Weak candidates come per invertible column tuple of the basis, by pinning
     those coordinates to grid values and solving for the basis coefficients.
 
-    The net is sized before it is built: NetSizeError if the candidates
-    would pass CELL_CAP, or if more than `max_points` points survive.
+    The net is sized before it is built: NetSizeError if its grid or its
+    candidates would pass CELL_CAP, or if more than `max_points` points survive.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon}")
@@ -109,22 +119,29 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
     n, m = M.shape
     root = math.sqrt(1.0 + epsilon)
     weak_eps = root - 1.0
-    grid = build_grid(bit_precision, weak_eps, n)
+    # sqrt(1+eps) - 1 rounds to 0 for eps below about 3e-16: the grid would never end
+    size = _grid_steps(bit_precision, weak_eps, n) + 2 if weak_eps > 0.0 else math.inf
+    if size > CELL_CAP:
+        raise NetSizeError(
+            f"net needs {size} grid values per coordinate at epsilon {epsilon}, "
+            f"over the build limit of {CELL_CAP} cells; raise epsilon"
+        )
     r = basis.rank
     if r == 0:
-        return EpsilonNet(points=np.zeros((1, m)), epsilon=epsilon, rank=0, grid_size=len(grid))
+        return EpsilonNet(points=np.zeros((1, m)), epsilon=epsilon, rank=0, grid_size=size)
     # each tuple pins its r coordinates to all grid^r assignments; counting
     # stops at the tuple that takes the candidates past the cap, before any exist
-    per_tuple = len(grid) ** r
+    per_tuple = size**r
     tuples = []
     for combo in independent_column_tuples(basis):
         tuples.append(combo)
         if len(tuples) * per_tuple * m > CELL_CAP:
             raise NetSizeError(
                 f"net needs at least {len(tuples) * per_tuple} candidate points "
-                f"({len(grid)}^{r} per column tuple; column tuples counted: {len(tuples)}) "
+                f"({size}^{r} per column tuple; column tuples counted: {len(tuples)}) "
                 f"of {m} coordinates each, over the build limit of {CELL_CAP} cells; raise epsilon"
             )
+    grid = build_grid(bit_precision, weak_eps, n)
     # row order matches itertools.product(grid, repeat=r)
     assignments = np.stack(np.meshgrid(*([grid] * r), indexing="ij"), axis=-1).reshape(-1, r)
     rows = basis.basis_rows
@@ -146,4 +163,4 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
             f"net has {len(points)} points (enumeration bound {math.comb(m, r) * per_tuple}), "
             f"over the cap {max_points}; raise epsilon or the cap (--max-net-points)"
         )
-    return EpsilonNet(points=points, epsilon=epsilon, rank=r, grid_size=len(grid))
+    return EpsilonNet(points=points, epsilon=epsilon, rank=r, grid_size=size)

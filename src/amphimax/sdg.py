@@ -10,6 +10,7 @@ from ._rng import stream
 from .diffusion import (
     DRAW_BUDGET,
     SpreadEstimate,
+    _chunks,
     _word_bytes,
     default_sample_count,
     estimate_sigma,
@@ -103,50 +104,47 @@ def _auto_samples(instance, config, net_size):
 def _pool_greedy(hits, count, samples, budget, batch=1):
     """Plain greedy for m * mean_k[1 - prod_{e in picks} (1 - hit_ek)] on each of `batch` RR pools.
 
-    hits(elements) takes element indices that broadcast to (batch, r) and
-    returns the (batch, r, samples) float hit chances of element
-    elements[b, t] in pool b. Each step computes every gain as
-    sum_k hit_ek * miss_k, in row chunks under DRAW_BUDGET bytes, takes the
-    largest in each pool (ties toward the lowest index, as greedy_max) and
-    multiplies that pool's miss by its 1 - hit. Returns (picks, one list
-    per pool; gains computed per pool).
+    hits(part) returns the (elements, batch, samples) float hit chances of a
+    slice of the elements: [e, b, k] for element e in RR set k of pool b.
+    Each step computes every gain as sum_k hit_ek * miss_k, in _chunks of
+    elements, takes the largest in each pool (ties toward the lowest index,
+    as greedy_max) and multiplies that pool's miss by its 1 - hit, read from
+    one table for all pools when one chunk holds every element. Returns
+    (picks, one list per pool; gains computed per pool).
     """
-    rows = max(1, DRAW_BUDGET // (8 * batch * samples))
-    members = np.arange(batch)[:, None]
-    # when one chunk holds every hit, unpack them once, not at every step
-    table = hits(np.arange(count)[None]) if rows >= count else None
+    parts = list(_chunks(count, 8 * batch * samples))
+    table = hits(parts[0]) if len(parts) == 1 else None
+    members = np.arange(batch)
     miss = np.ones((batch, samples))
     picks = np.zeros((batch, budget), dtype=np.intp)
     for step in range(budget):
         gains = np.empty((batch, count))
-        for start in range(0, count, rows):
-            chunk = table if table is not None else hits(np.arange(start, min(start + rows, count))[None])
+        for part in parts:
             # each gain is its own sum over k, so elements with equal hit rows get equal gains
-            gains[:, start : start + rows] = np.einsum("bek,bk->be", chunk, miss)
-        gains[members, picks[:, :step]] = -1.0
+            gains[:, part] = np.einsum("ebk,bk->be", table if table is not None else hits(part), miss)
+        gains[members[:, None], picks[:, :step]] = -1.0
         picks[:, step] = gains.argmax(axis=1)
-        if step + 1 < budget:
-            pick = picks[:, step, None]
-            miss *= 1.0 - (table[members, pick] if table is not None else hits(pick))[:, 0]
+        if step + 1 < budget and table is not None:
+            miss *= 1.0 - table[picks[:, step], members]
+        elif step + 1 < budget:
+            for b, e in enumerate(picks[:, step]):
+                miss[b] *= 1.0 - hits(slice(e, e + 1))[0, b]
     return picks.tolist(), sum(count - t for t in range(budget))
 
 
 def _consumer_hits(pool, samples, points):
     """Consumer hits for sigma_hat(s, .) at a (batch, m) stack of net points, one pool each.
 
-    Pool b holds bytes [b * W, (b + 1) * W) of every row of `pool` (see
-    reverse_reachable_pool); u hits its RR set k with chance RR_uk * (1 - exp(-s_bu)).
+    Pool b holds runs [b * samples, (b + 1) * samples) of every row (see reverse_reachable_pool);
+    u hits its RR set k with chance RR_uk * (1 - exp(-s_bu)).
     """
     points = np.atleast_2d(points)
     batch, m = points.shape
-    scale = net_relaxation(points.ravel(), np.ones(points.size)).reshape(batch, m)
-    pools = pool.reshape(m, batch, -1)
-    members = np.arange(batch)[:, None]
+    scale = net_relaxation(points.ravel(), np.ones(points.size)).reshape(batch, m).T[:, :, None]
 
-    def hits(e):
-        chances = np.unpackbits(pools[e, members], axis=-1, count=samples).astype(float)
-        chances *= scale[members, e][..., None]
-        return chances
+    def hits(part):
+        bits = np.unpackbits(pool[part], axis=1, count=batch * samples)
+        return bits.reshape(-1, batch, samples) * scale[part]
 
     return hits
 
@@ -155,18 +153,17 @@ def _provider_hits(pool, samples, y_set, M):
     """Provider hits for sigma(., Y) on one pool: i hits RR set k with chance 1 - q_ik.
 
     q_ik = prod_{u in RR_k and Y} (1 - M_iu); log q sums Y's pool rows in
-    chunks under DRAW_BUDGET bytes, so Y is never unpacked whole.
+    _chunks, so Y is never unpacked whole.
     """
     ys = np.asarray(y_set, dtype=np.intp)
     # log 0 clamps to log(tiny): its exp is below 1e-300, far under rounding
     log_keep = np.log(np.maximum(1.0 - M[:, ys], np.finfo(float).tiny))
     log_q = np.zeros((M.shape[0], samples))
-    rows = max(1, DRAW_BUDGET // (8 * samples))
-    for start in range(0, ys.size, rows):
-        bits = np.unpackbits(pool[ys[start : start + rows]], axis=1, count=samples)
-        log_q += log_keep[:, start : start + rows] @ bits.astype(float)
-    hit = -np.expm1(log_q)
-    return lambda e: hit[e]
+    for part in _chunks(ys.size, 8 * samples):
+        bits = np.unpackbits(pool[ys[part]], axis=1, count=samples)
+        log_q += log_keep[:, part] @ bits.astype(float)
+    hit = -np.expm1(log_q)[:, None]
+    return lambda part: hit[part]
 
 
 def _pool_pick(instance, count, budget, samples, rng_paths, hits, *args):

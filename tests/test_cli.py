@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -66,6 +67,16 @@ def test_invalid_instance_exits_1(tmp_path):
     proc = run_cli("exact", "--instance", str(bad), "--x", "0", "--y", "0")
     assert proc.returncode == 1
     assert "entry out of [0,1]" in proc.stderr
+    # a bit_precision past the float range of the net grid (1020 at n = 4)
+    doc = json.loads(serialize_instance(gen_rank_r(4, 3, 1, social_edge_count=2, seed=3)))
+    for lam in (1021, 1100):
+        doc["bit_precision"] = lam
+        bad.write_text(json.dumps(doc))
+        for command in ("net", "solve"):
+            proc = run_cli(command, "--instance", str(bad), "--epsilon", "0.5")
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr.startswith(f"error: invalid instance: bit_precision {lam} exceeds 1020:")
+            assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_version():
@@ -119,6 +130,12 @@ def test_gen_bad_params_exit_1():
         ("rank_r", "n=4,m=3,r=1,b1=0.5", "parameter 'b1' must be an integer, got 0.5"),
         ("rank_r", "n=4,m=3,r=1,b1=0", "invalid instance: provider budget must be at least 1, got 0"),
         ("rank_r", "n=4,n=6,m=3,r=1", "parameter 'n' given twice"),
+        # edge_prob outside [0, 1] used to act as 0 or 1, and NaN as 1
+        ("rank_r", "n=4,m=3,r=1,edge_prob=-0.5", "edge_prob must lie in [0,1], got -0.5"),
+        ("rank_r", "n=4,m=3,r=1,edge_prob=3", "edge_prob must lie in [0,1], got 3.0"),
+        ("rank_r", "n=4,m=3,r=1,edge_prob=nan", "edge_prob must lie in [0,1], got nan"),
+        # a grid that starts at 2^-5000 cannot be computed in floats
+        ("rank_r", "n=4,m=3,r=1,bit_precision=5000", "invalid instance: bit_precision 5000 exceeds 1020:"),
     ]:
         proc = run_cli("gen", "--family", family, "--params", params)
         assert proc.returncode == 1, params
@@ -175,6 +192,16 @@ def test_bad_sample_counts_and_epsilon_exit_1(instance_file, args, message):
     proc = run_cli(args[0], "--instance", str(path), *args[1:])
     assert proc.returncode == 1
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["net", "solve"])
+def test_tiny_epsilon_exits_1_before_the_grid_exists(instance_file, command):
+    # a grid of ~10^10 values at 1e-9; at 1e-20 the weak epsilon rounds to 0
+    path, _ = instance_file
+    for epsilon in ("1e-9", "1e-20"):
+        proc = run_cli(command, "--instance", str(path), "--epsilon", epsilon)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: net needs .* at epsilon 1e-(09|20)\b.*; raise epsilon\n", proc.stderr), proc.stderr
 
 
 def test_empty_index_lists(instance_file):

@@ -374,8 +374,7 @@ def test_edge_arrays_equal_the_per_edge_build(case):
     order = np.argsort(dst, kind="stable")
     want = (
         np.array([e[0] for e in edges], dtype=np.intp)[order],
-        np.array([e[2] for e in edges], dtype=float),
-        order,
+        np.array([e[2] for e in edges], dtype=float)[order],
         *np.unique(dst[order], return_index=True),
     )
     got = diffusion._edge_arrays.__wrapped__(KERNEL_CASES[case])
@@ -393,8 +392,7 @@ def test_reversed_edges_equal_the_per_edge_build(case):
     order = np.lexsort((dst, src))
     want = (
         dst[order],
-        np.array([e[2] for e in edges], dtype=float),
-        order,
+        np.array([e[2] for e in edges], dtype=float)[order],
         *np.unique(src[order], return_index=True),
     )
     got = diffusion._reversed_edges.__wrapped__(KERNEL_CASES[case])
@@ -444,18 +442,20 @@ def test_reverse_reachable_pool_equals_a_backward_search(case, samples):
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 @pytest.mark.parametrize("samples", [1, 63, 65, 300])
 def test_each_pool_of_a_batch_equals_its_own_draw(monkeypatch, case, samples):
-    # pools drawn side by side, and through one _propagate, keep the bits of
-    # a draw from their generator alone, also when the one-hot rows and the
-    # edge draws go in chunks of one row
+    # pools drawn on one run axis, and through one _propagate, keep the bits
+    # of a draw from their generator alone, also when the one-hot rows and
+    # the edge draws go in chunks of one row
     inst = KERNEL_CASES[case]
-    row = 8 * ((samples + 63) // 64)
     alone = [diffusion.reverse_reachable_pool(inst, samples, stream(k, "batch-check")) for k in range(5)]
     for budget in (1, diffusion.DRAW_BUDGET):
         monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
         pools = diffusion.reverse_reachable_pool(inst, samples, *(stream(k, "batch-check") for k in range(5)))
-        assert pools.dtype == np.uint8 and pools.shape == (inst.n_consumers, 5 * row)
+        assert pools.dtype == np.uint8 and pools.shape == (inst.n_consumers, 8 * ((5 * samples + 63) // 64))
+        bits = np.unpackbits(pools, axis=1)
+        assert not bits[:, 5 * samples :].any()  # padding stays clear for _propagate
         for k, pool in enumerate(alone):
-            assert np.array_equal(pools[:, k * row : (k + 1) * row], pool), (budget, k)
+            want = np.unpackbits(pool, axis=1, count=samples)
+            assert np.array_equal(bits[:, k * samples : (k + 1) * samples], want), (budget, k)
 
 
 def test_pool_surrogate_matches_exact_rho_bar():
@@ -512,13 +512,27 @@ class ConstantRaw:
         return np.full(size, self.word, dtype=np.uint64)
 
 
+def test_chunks_cover_the_range_in_order(monkeypatch):
+    monkeypatch.setattr(diffusion, "DRAW_BUDGET", 100)
+    for count in (0, 1, 7, 100, 101):
+        for row_bytes in (1, 3, 30, 99, 100, 101, 10**6):
+            parts = list(diffusion._chunks(count, row_bytes))
+            assert [i for part in parts for i in range(count)[part]] == list(range(count))
+            rows = [part.stop - part.start for part in parts]
+            # at least one row each, and at most the budget unless one row passes it
+            assert all(r == 1 or r * row_bytes <= 100 for r in rows) and min(rows, default=1) >= 1
+            # as many rows per chunk as the budget holds
+            assert len(parts) == math.ceil(count / max(1, 100 // row_bytes))
+    assert list(diffusion._chunks(0, 1)) == []
+
+
 @pytest.mark.parametrize("samples", [65, 1001])
 def test_packed_draws_do_not_depend_on_the_chunk_size(monkeypatch, samples):
     # fan_in: 6 consumer rows and 6 edge rows, of which `drawn` are neither
     # 0 nor 1; at 65 runs a 1000-byte budget holds 3 rows of 33 words
     inst = KERNEL_CASES["fan_in"]
     init = _init_probs(inst.n_consumers, 0)
-    _, prob, order, _, _ = diffusion._edge_arrays(inst)
+    _, prob, _, _ = diffusion._edge_arrays(inst)
     drawn = [np.count_nonzero((p > 0.0) & (p < 1.0)) for p in (init, prob)]
     want = dense_batch_spread(inst, init, samples, np.random.default_rng(5))
     bits = {}
@@ -526,7 +540,7 @@ def test_packed_draws_do_not_depend_on_the_chunk_size(monkeypatch, samples):
         monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
         rng = CountingRng(5)
         seeds = diffusion._packed_draws([rng], samples, init)
-        bits[budget] = np.vstack([seeds, diffusion._packed_draws([rng], samples, prob, order)])
+        bits[budget] = np.vstack([seeds, diffusion._packed_draws([rng], samples, prob)])
         rows = max(1, budget // (8 * ((samples + 1) // 2)))
         assert rng.calls == sum(math.ceil(n / rows) for n in drawn)
         assert diffusion._batch_spread(inst, init, samples, CountingRng(5)) == want

@@ -14,7 +14,7 @@ from amphimax.generators import (
     gen_three_layer,
     random_digraph,
 )
-from amphimax.instance import numerical_rank, parse_instance, serialize_instance, validate
+from amphimax.instance import InstanceValidationError, numerical_rank, parse_instance, serialize_instance, validate
 
 
 def test_rank_r_rank_property_across_seeds():
@@ -61,6 +61,17 @@ def test_rank_r_parameter_validation():
     # seed 1 yields a minimum entry near 0.004, far below a 2^-4 floor
     with pytest.raises(ValueError, match="bit_precision 4 too coarse"):
         gen_rank_r(3, 3, 1, bit_precision=4, seed=1)
+    # the bound of validate: 1020 at 4 providers
+    assert gen_rank_r(4, 3, 1, bit_precision=1020, seed=3).bit_precision == 1020
+    for lam in (1021, 5000):
+        with pytest.raises(InstanceValidationError, match=rf"^invalid instance: bit_precision {lam} exceeds 1020: .* 2\^1023$"):
+            gen_rank_r(4, 3, 1, bit_precision=lam, seed=3)
+    for edge_prob in (-0.5, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"edge_prob must lie in \[0,1\]"):
+            gen_rank_r(3, 3, 1, edge_prob=edge_prob)
+    # at both ends of the range: every entry of A dropped, or none
+    assert not gen_rank_r(3, 3, 1, edge_prob=0.0).bipartite.any()
+    assert gen_rank_r(3, 3, 1, edge_prob=1.0, seed=2) == gen_rank_r(3, 3, 1, seed=2)
 
 
 def loop_random_digraph(m, edge_count, rng, prob_high=0.5):

@@ -61,6 +61,20 @@ def test_validate_reports_entry_below_precision_floor():
     assert validate(make_instance([[0.5, 0.0]], lam=4)) == []
 
 
+def test_bit_precision_bound_follows_the_provider_count():
+    # n * 2^lambda must stay below 2^1023: lambda <= 1020 at n = 4 or 5,
+    # 1019 at n = 8; past that the net grid cannot be computed in floats
+    for n, top in ((1, 1022), (4, 1020), (5, 1020), (8, 1019)):
+        M = np.full((n, 2), 0.5)
+        assert validate(make_instance(M, lam=top)) == []
+        for lam in (top + 1, 1074, 1100):
+            msgs = validate(make_instance(M, lam=lam))
+            assert msgs == [f"bit_precision {lam} exceeds {top}: n_providers * 2^bit_precision must stay below 2^1023"]
+        assert parse_instance(json.dumps(doc_for(M.tolist(), lam=top))).bit_precision == top
+        with pytest.raises(InstanceValidationError, match=f"bit_precision {top + 1} exceeds {top}:"):
+            parse_instance(json.dumps(doc_for(M.tolist(), lam=top + 1)))
+
+
 def test_validate_reports_budget_violations():
     inst = make_instance([[0.5, 0.5]], b1=3, b2=1)
     assert any("provider budget exceeds ground set (3 > 1)" in s for s in validate(inst))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,44 @@ def test_net_rejects_the_callers_epsilon_before_deriving_the_weak_one():
             build_net(M, numerical_rank(M), eps, bit_precision=2)
     with pytest.raises(ValueError, match="n must be"):
         build_grid(4, 0.5, 0)
+
+
+def test_grid_past_the_float_range_is_refused():
+    # (1+eps)^k passes the float range before 2^-lambda * (1+eps)^k reaches n:
+    # a coarse step at the largest lambda validate allows for n = 4, and a
+    # base of 2^-1075, which rounds to 0
+    for lam, eps, n in ((1020, 1000.0, 4), (1075, 0.5, 1), (5000, 0.5, 4)):
+        with pytest.raises(ValueError, match=rf"^a grid from 2\^-{lam} in steps of 1\+{eps} passes the float range$"):
+            build_grid(lam, eps, n)
+    assert build_grid(1020, 0.5, 4)[-1] >= 4
+
+
+def test_tiny_epsilon_is_refused_before_the_grid_exists():
+    # at eps 1e-9 the grid would hold about 9.7e9 values (72 GiB); it is
+    # counted from integers and refused, at rank 0 too, before any exists
+    for M in (np.array([[0.5, 0.25], [0.25, 0.125]]), np.zeros((4, 3))):
+        basis = numerical_rank(M)
+        size = net_module._grid_steps(20, math.sqrt(1.0 + 1e-9) - 1.0, M.shape[0]) + 2
+        assert size > 9 * 10**9
+        expect = (
+            f"^net needs {size} grid values per coordinate at epsilon 1e-09, "
+            f"over the build limit of {net_module.CELL_CAP} cells; raise epsilon$"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(NetSizeError, match=expect):
+                build_net(M, basis, 1e-9, bit_precision=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # sqrt(1 + 1e-20) - 1 rounds to 0, so the grid never ends: the message
+        # names the epsilon given, not the weak one
+        with pytest.raises(NetSizeError, match=r"^net needs inf grid values per coordinate at epsilon 1e-20, .*; raise epsilon$"):
+            build_net(M, basis, 1e-20, bit_precision=20)
+        # the counted length is the length of the grid the net is built on
+        weak = math.sqrt(1.5) - 1.0
+        assert build_net(M, basis, 0.5, bit_precision=20).grid_size == len(build_grid(20, weak, M.shape[0]))
 
 
 def test_independent_column_tuples_identity():

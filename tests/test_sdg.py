@@ -8,6 +8,7 @@ from amphimax import diffusion, sdg
 from amphimax._rng import stream
 from amphimax.diffusion import (
     DEFAULT_MC_EPS,
+    DRAW_BUDGET,
     SpreadEstimate,
     default_sample_count,
     estimate_sigma,
@@ -286,7 +287,17 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool():
         want, _ = greedy_max(_provider_oracle(pool, samples, Y, M), range(9), budget)
         assert picks == want, k
         assert evaluations == sum(9 - t for t in range(budget))
-        assert np.allclose(hits(np.arange(9)), 1.0 - _pool_keep(pool, samples, Y, M), rtol=0.0, atol=1e-12)
+        assert np.allclose(hits(slice(None))[:, 0], 1.0 - _pool_keep(pool, samples, Y, M), rtol=0.0, atol=1e-12)
+
+
+def _recording_hits(hits, parts):
+    """hits, appending the (start, stop) of every slice it is asked for to `parts`."""
+
+    def recording(part):
+        parts.append((part.start, part.stop))
+        return hits(part)
+
+    return recording
 
 
 def test_pool_greedy_gains_in_row_chunks(monkeypatch):
@@ -294,15 +305,22 @@ def test_pool_greedy_gains_in_row_chunks(monkeypatch):
     s = np.linspace(0.1, 1.7, 9)
     Y = (0, 2, 3, 5, 8)
     pool = reverse_reachable_pool(inst, 500, stream(0, "chunks"))
-    consumers = sdg._pool_greedy(sdg._consumer_hits(pool, 500, s), 9, 500, 4)
+    consumer_hits = sdg._consumer_hits(pool, 500, s)
     provider_hits = sdg._provider_hits(pool, 500, Y, inst.bipartite)
+    consumers = sdg._pool_greedy(consumer_hits, 9, 500, 4)
     providers = sdg._pool_greedy(provider_hits, 9, 500, 4)
     # 2 rows of 500 floats per chunk, in the gains and in the sum over Y
-    monkeypatch.setattr(sdg, "DRAW_BUDGET", 2 * 8 * 500)
-    assert sdg._pool_greedy(sdg._consumer_hits(pool, 500, s), 9, 500, 4) == consumers
+    monkeypatch.setattr(diffusion, "DRAW_BUDGET", 2 * 8 * 500)
     chunked_hits = sdg._provider_hits(pool, 500, Y, inst.bipartite)
-    assert np.allclose(chunked_hits(np.arange(9)), provider_hits(np.arange(9)), rtol=0.0, atol=1e-12)
-    assert sdg._pool_greedy(chunked_hits, 9, 500, 4) == providers
+    assert np.allclose(chunked_hits(slice(None)), provider_hits(slice(None)), rtol=0.0, atol=1e-12)
+    for hits, want in ((consumer_hits, consumers), (chunked_hits, providers)):
+        parts = []
+        assert sdg._pool_greedy(_recording_hits(hits, parts), 9, 500, 4) == want
+        # every step reads its gains in chunks of 2 rows, and every step but
+        # the last reads the hits of its pick alone
+        [picks], _ = want
+        gains = [(start, min(start + 2, 9)) for start in range(0, 9, 2)]
+        assert parts == [part for pick in picks[:3] for part in gains + [(pick, pick + 1)]] + gains
 
 
 def test_pool_estimate_of_sigma_matches_exact_sigma():
@@ -314,7 +332,7 @@ def test_pool_estimate_of_sigma_matches_exact_sigma():
         X = tuple(pick.choice(5, 1 + k % 3, replace=False).tolist())
         Y = tuple(sorted(pick.choice(6, 2 + k % 3, replace=False).tolist()))
         pool = reverse_reachable_pool(inst, samples, stream(k, "sigma-check"))
-        hits = sdg._provider_hits(pool, samples, Y, inst.bipartite)(np.arange(5))
+        hits = sdg._provider_hits(pool, samples, Y, inst.bipartite)(slice(None))[:, 0]
         values = 6.0 * (1.0 - np.prod(1.0 - hits[list(X)], axis=0))
         se = values.std(ddof=1) / math.sqrt(samples)
         want = exact_sigma(inst, X, Y)
@@ -450,6 +468,7 @@ def test_batched_consumer_phase_picks_what_each_point_picks(monkeypatch):
         "b2 > 1": (base.social_edges, 3),
         "b2 = m": (base.social_edges, 5),
     }
+    consumer_hits = sdg._consumer_hits
     for name, (edges, b2) in cases.items():
         inst = make_instance(base.bipartite, edges, b2=b2, lam=base.bit_precision)
         config = SdgConfig(epsilon=0.6, samples_per_eval=100, master_seed=len(name))
@@ -465,10 +484,15 @@ def test_batched_consumer_phase_picks_what_each_point_picks(monkeypatch):
         inside = min(size for size in budgets if 1 < size < len(want) and len(want) % size)
         for size, rows in ((1, None), (inside, None), (max(budgets), None), (inside, 2)):
             monkeypatch.setattr(sdg, "POOL_BUDGET", budgets[size])
-            monkeypatch.setattr(sdg, "DRAW_BUDGET", rows * 8 * size * 100 if rows else diffusion.DRAW_BUDGET)
+            monkeypatch.setattr(diffusion, "DRAW_BUDGET", rows * 8 * size * 100 if rows else DRAW_BUDGET)
+            parts = []
+            monkeypatch.setattr(sdg, "_consumer_hits", lambda *args: _recording_hits(consumer_hits(*args), parts))
             _, report = solve(inst, config)
             assert [row["consumers"] for row in report] == want, (name, size)
+            # the gains went in chunks of 2 rows exactly when asked to
+            assert ((0, 2) in parts) == (rows is not None and b2 < 5), (name, size)
             assert {row["evaluations_y"] for row in report} == {sum(5 - t for t in range(b2)) if b2 < 5 else 0}
+        monkeypatch.undo()
 
 
 def test_batched_solve_memory_is_bounded():
