@@ -1,6 +1,7 @@
 """Deterministic named random streams."""
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -12,6 +13,13 @@ def _key(part):
     return int.from_bytes(digest, "big")
 
 
+def _philox(master_seed, *path):
+    # SeedSequence zero-pads its entropy, so [a] and [a, 0] would collide;
+    # the explicit length keeps prefix addresses distinct from extensions
+    entropy = [_key(master_seed), len(path)] + [_key(p) for p in path]
+    return np.random.Philox(np.random.SeedSequence(entropy))
+
+
 def stream(master_seed, *path):
     """Independent generator addressed by (master_seed, *path).
 
@@ -19,7 +27,25 @@ def stream(master_seed, *path):
     statistically independent streams. Path parts may be ints or short
     strings (strings are hashed stably, not with the salted builtin hash).
     """
-    # SeedSequence zero-pads its entropy, so [a] and [a, 0] would collide;
-    # the explicit length keeps prefix addresses distinct from extensions
-    entropy = [_key(master_seed), len(path)] + [_key(p) for p in path]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(_philox(master_seed, *path))
+
+
+@lru_cache(maxsize=64)
+def _reader(address):
+    """A Philox for window_words at `address` and its fresh state, which every read sets whole."""
+    bits = _philox(*address)
+    return bits, bits.state
+
+
+def window_words(address, start, count):
+    """Raw 64-bit words [start, start + count) of stream(*address).bit_generator.
+
+    Philox is counter-based (Salmon et al., SC 2011): word w of its sequence
+    is word w % 4 of the block at counter w // 4 + 1, so a read sets the
+    counter to start // 4 and skips start % 4 words, whatever was read
+    before at that address or any other.
+    """
+    bits, state = _reader(tuple(address))
+    state["state"]["counter"] = np.array([start // 4, 0, 0, 0], dtype=np.uint64)
+    bits.state = state
+    return bits.random_raw(start % 4 + count)[start % 4 :]

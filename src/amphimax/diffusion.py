@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import stream, window_words
 from .relaxation import indicator, initial_activation, net_relaxation
 
 EXACT_EDGE_LIMIT = 22
@@ -95,36 +95,38 @@ def _pack_runs(bits):
     return out
 
 
-def _packed_draws(rngs, samples, probs):
-    """Bernoulli(p) bits for `samples` runs per generator, packed 8 runs per byte, 64 per word.
+def _bernoulli_rows(probs, runs):
+    """Packed rows of `runs` Bernoulli(p) runs for p = probs[k], before any draw.
 
-    Row k of the result holds len(rngs) * samples runs of p = probs[k], packed
-    as by _pack_runs: runs [b * samples, (b + 1) * samples) come from
-    generator rngs[b]. A row with p <= 0 stays clear and a row with p >= 1
-    is set, and neither draws. Every other row, in row order, takes
-    ceil(samples/2) raw 64-bit words of each generator's bit_generator,
-    split into 32-bit halves in memory order, and run j fires when half j is
-    below floor(p * 2**32): p is rounded down to a multiple of 2**-32, so a
-    p below 2**-32 never fires. Rows go in _chunks of their raw words from
-    one generator, and a chunk's fired bits take one byte per run; the bits
-    do not depend on the chunk size, and consecutive calls continue each
-    generator's stream.
+    Returns (out, drawn, thresholds): out has the rows with p >= 1 set and
+    all others clear, drawn indexes the rows with 0 < p < 1 that still draw,
+    and run j of drawn row k fires when its 32-bit half is below
+    thresholds[k] = floor(p * 2**32): p is rounded down to a multiple of
+    2**-32, so a p below 2**-32 never fires.
     """
-    runs = len(rngs) * samples
     out = np.zeros((probs.size, _word_bytes(runs)), dtype=np.uint8)
     out[probs >= 1.0] = _pack_runs(np.ones((1, runs), dtype=bool))
     drawn = np.flatnonzero((probs > 0.0) & (probs < 1.0))
     # exact for p in (0, 1): scaling by 2**32 is exact and the cast truncates
-    thresholds = (probs[drawn] * 2.0**32).astype(np.uint32)[:, None]
+    return out, drawn, (probs[drawn] * 2.0**32).astype(np.uint32)
+
+
+def _packed_draws(rng, samples, probs):
+    """Bernoulli(p) bits for `samples` runs, packed 8 runs per byte, 64 per word.
+
+    Row k of the result holds the runs of p = probs[k], packed as by
+    _pack_runs and set up by _bernoulli_rows. Every drawn row, in row order,
+    takes ceil(samples/2) raw 64-bit words of rng.bit_generator, split into
+    32-bit halves in memory order, run j reading half j. Rows go in _chunks
+    of their raw words, and a chunk's fired bits take one byte per run; the
+    bits do not depend on the chunk size, and consecutive calls continue
+    the generator's stream.
+    """
+    out, drawn, thresholds = _bernoulli_rows(probs, samples)
     words = (samples + 1) // 2
     for part in _chunks(drawn.size, 8 * words):
-        rows = drawn[part]
-        fired = np.empty((rows.size, runs), dtype=bool)
-        for b, rng in enumerate(rngs):
-            halves = rng.bit_generator.random_raw(rows.size * words).view(np.uint32).reshape(rows.size, -1)
-            np.less(halves[:, :samples], thresholds[part], out=fired[:, b * samples : (b + 1) * samples])
-            del halves  # free these words before the next generator draws its own
-        out[rows] = _pack_runs(fired)
+        halves = rng.bit_generator.random_raw((part.stop - part.start) * words).view(np.uint32)
+        out[drawn[part]] = _pack_runs(halves.reshape(-1, 2 * words)[:, :samples] < thresholds[part, None])
     return out
 
 
@@ -171,10 +173,10 @@ def _batch_spread(instance, init_probs, samples, rng):
     """
     if not init_probs.any():
         return 0.0, 0.0
-    active = _packed_draws([rng], samples, init_probs)
+    active = _packed_draws(rng, samples, init_probs)
     src, prob, heads, cuts = _edge_arrays(instance)
     if src.size:
-        _propagate(active, _packed_draws([rng], samples, prob), src, heads, cuts)
+        _propagate(active, _packed_draws(rng, samples, prob), src, heads, cuts)
     totals = np.zeros(samples)
     for part in _chunks(active.shape[0], samples):
         totals += np.unpackbits(active[part], axis=1, count=samples).sum(axis=0)
@@ -183,31 +185,66 @@ def _batch_spread(instance, init_probs, samples, rng):
     return mean, std_error
 
 
-def reverse_reachable_pool(instance, samples, *rngs):
-    """Packed reverse-reachable (RR) sets: one pool of `samples` independent runs per generator.
+def _window(instance, samples):
+    """Raw words per RR pool window of `samples` runs: ceil(samples/2) for the
+    targets and for each social edge with 0 < p < 1, in whole 4-word blocks."""
+    prob = _edge_arrays(instance)[1]
+    drawn = np.count_nonzero((prob > 0.0) & (prob < 1.0))
+    return 4 * -(-((samples + 1) // 2) * (1 + drawn) // 4)
+
+
+def reverse_reachable_pool(instance, samples, key, first, count):
+    """Packed reverse-reachable (RR) sets: pools first, ..., first + count - 1 of `samples` runs each.
 
     Run k picks a uniform target consumer, flips every social edge once, and
     collects the consumers that reach the target over live edges (Borgs et
-    al., SODA 2014). Each generator draws its own pool: the targets first,
-    from rng.integers, then the live edges from _packed_draws, one row per
-    edge in the order of _reversed_edges (by original source, then target).
-    The pools share one run axis: pool b holds runs [b * samples,
+    al., SODA 2014). Pool i reads the fixed window [i * L, (i + 1) * L) of
+    the raw words of stream(*key) (see window_words and _window), split into
+    32-bit halves in memory order: the first ceil(samples/2) words give
+    target k as (half_k * m) >> 32, within 2**-32 of 1/m for every consumer,
+    and each edge with 0 < p < 1, in the order of _reversed_edges (by
+    original source, then target), takes the next ceil(samples/2) words,
+    run k live when half k is below floor(p * 2**32), as in _packed_draws.
+    Edges with p <= 0 stay blocked and p >= 1 live, drawing nothing. The
+    pools share one run axis: pool first + b holds runs [b * samples,
     (b + 1) * samples) of every row, and all of them go through one
-    _propagate on the reversed edges, seeded one-hot at the targets (in
-    _chunks of consumers). Bit b * samples + k in row u of the (m, W) uint8
-    result, packed as by _pack_runs, is set when u is in RR set k of pool b;
-    a pool's bits do not depend on the other generators. Seeding each
+    _propagate on the reversed edges, seeded one-hot at the targets. Rows
+    go in _chunks of their raw words for the whole batch, one read per pool
+    and chunk, or one read for the batch when one chunk holds every row.
+    Bit b * samples + k in row u of the (m, W) uint8 result, packed as by
+    _pack_runs, is set when u is in RR set k of pool first + b; a pool's
+    bits depend on neither the batch nor the chunk size. Seeding each
     consumer u independently with probability p_u then spreads to
     m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in expectation.
     """
     m = instance.n_consumers
-    targets = np.concatenate([rng.integers(0, m, size=samples) for rng in rngs])
-    pool = np.empty((m, _word_bytes(targets.size)), dtype=np.uint8)
-    for part in _chunks(m, targets.size):
-        pool[part] = _pack_runs(np.arange(part.start, part.stop)[:, None] == targets)
     src, prob, heads, cuts = _reversed_edges(instance)
+    runs, words = count * samples, (samples + 1) // 2
+    live, drawn, thresholds = _bernoulli_rows(prob, runs)
+    window = _window(instance, samples)
+    # row 0 of every window holds the targets, row 1 + r the drawn edge r
+    for part in _chunks(1 + drawn.size, 8 * words * count):
+        rows = part.stop - part.start
+        if rows == 1 + drawn.size:
+            raw = window_words(key, first * window, count * window).reshape(count, window)[:, : rows * words]
+        else:
+            starts = range(first * window + part.start * words, (first + count) * window, window)
+            raw = np.stack([window_words(key, start, rows * words) for start in starts])
+        # [r, b, k]: half k of row part.start + r in the window of pool first + b
+        halves = raw.reshape(count, rows, words).view(np.uint32)[:, :, :samples].transpose(1, 0, 2)
+        if part.start == 0:
+            targets = (np.multiply(halves[0], m, dtype=np.uint64) >> 32).view(np.intp).ravel()
+            halves = halves[1:]
+        cut = slice(max(part.start, 1) - 1, part.stop - 1)
+        fired = np.empty((halves.shape[0], runs), dtype=bool)
+        np.less(halves, thresholds[cut, None, None], out=fired.reshape(-1, count, samples))
+        live[drawn[cut]] = _pack_runs(fired)
+        del raw, halves  # free these words before the next chunk reads its own
+    pool = np.empty((m, _word_bytes(runs)), dtype=np.uint8)
+    for part in _chunks(m, runs):
+        pool[part] = _pack_runs(np.arange(part.start, part.stop)[:, None] == targets)
     if src.size:
-        _propagate(pool, _packed_draws(rngs, samples, prob), src, heads, cuts)
+        _propagate(pool, live, src, heads, cuts)
     return pool
 
 

@@ -45,6 +45,8 @@ class EpsilonNet:
 
 def _grid_steps(bit_precision, epsilon, n):
     """The least k with 2**-bit_precision * (1+epsilon)**k >= n: build_grid's length is k + 2."""
+    # a Python float: a NumPy scalar would overflow to inf with a warning, not raise
+    epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon}")
     if bit_precision < 1:
@@ -71,6 +73,7 @@ def build_grid(bit_precision, epsilon, n):
     Starts at 0, then 2**-bit_precision, multiplying by (1+epsilon) until the
     first value >= n, which is the largest any coordinate of x^T M can reach.
     """
+    epsilon = float(epsilon)
     k = _grid_steps(bit_precision, epsilon, n)
     values = np.concatenate(([0.0], 2.0 ** -bit_precision * (1.0 + epsilon) ** np.arange(k + 1)))
     values.setflags(write=False)

@@ -11,6 +11,7 @@ from .diffusion import (
     DRAW_BUDGET,
     SpreadEstimate,
     _chunks,
+    _window,
     _word_bytes,
     default_sample_count,
     estimate_sigma,
@@ -29,7 +30,7 @@ MAX_RANK = 6
 # provider pool size multiplier for the per-consumer-set estimates and the reported value
 FINAL_FACTOR = 4
 # bytes the consumer pools of one batch of net points hold together: raw
-# words, live-edge bits, pools, unpacked hits and miss (at least one point)
+# words, live-edge bits, pools, unpacked RR bits and miss (at least one point)
 POOL_BUDGET = DRAW_BUDGET // 16
 
 
@@ -104,13 +105,15 @@ def _auto_samples(instance, config, net_size):
 def _pool_greedy(hits, count, samples, budget, batch=1):
     """Plain greedy for m * mean_k[1 - prod_{e in picks} (1 - hit_ek)] on each of `batch` RR pools.
 
-    hits(part) returns the (elements, batch, samples) float hit chances of a
-    slice of the elements: [e, b, k] for element e in RR set k of pool b.
-    Each step computes every gain as sum_k hit_ek * miss_k, in _chunks of
-    elements, takes the largest in each pool (ties toward the lowest index,
-    as greedy_max) and multiplies that pool's miss by its 1 - hit, read from
-    one table for all pools when one chunk holds every element. Returns
-    (picks, one list per pool; gains computed per pool).
+    hits(part) returns a slice of the elements as (rows, scale): rows of
+    shape (elements, batch, samples), of any numeric dtype, and scale of
+    shape (elements, batch), with hit chance scale[e, b] * rows[e, b, k] for
+    element e in RR set k of pool b. Each step computes every gain as
+    scale_eb * sum_k rows_ebk * miss_bk, in _chunks of elements, takes the
+    largest in each pool (ties toward the lowest index, as greedy_max) and
+    multiplies that pool's miss by its 1 - hit, read from one table for all
+    pools when one chunk holds every element. Returns (picks, one list per
+    pool; gains computed per pool).
     """
     parts = list(_chunks(count, 8 * batch * samples))
     table = hits(parts[0]) if len(parts) == 1 else None
@@ -120,37 +123,43 @@ def _pool_greedy(hits, count, samples, budget, batch=1):
     for step in range(budget):
         gains = np.empty((batch, count))
         for part in parts:
-            # each gain is its own sum over k, so elements with equal hit rows get equal gains
-            gains[:, part] = np.einsum("ebk,bk->be", table if table is not None else hits(part), miss)
+            rows, scale = table if table is not None else hits(part)
+            # each gain is its own sum over k, so elements with equal rows and scales get equal gains
+            gains[:, part] = np.einsum("ebk,bk->be", rows, miss)
+            gains[:, part] *= scale.T
         gains[members[:, None], picks[:, :step]] = -1.0
         picks[:, step] = gains.argmax(axis=1)
         if step + 1 < budget and table is not None:
-            miss *= 1.0 - table[picks[:, step], members]
+            rows, scale = table
+            miss *= 1.0 - scale[picks[:, step], members, None] * rows[picks[:, step], members]
         elif step + 1 < budget:
             for b, e in enumerate(picks[:, step]):
-                miss[b] *= 1.0 - hits(slice(e, e + 1))[0, b]
+                rows, scale = hits(slice(e, e + 1))
+                miss[b] *= 1.0 - scale[0, b] * rows[0, b]
     return picks.tolist(), sum(count - t for t in range(budget))
 
 
 def _consumer_hits(pool, samples, points):
     """Consumer hits for sigma_hat(s, .) at a (batch, m) stack of net points, one pool each.
 
-    Pool b holds runs [b * samples, (b + 1) * samples) of every row (see reverse_reachable_pool);
-    u hits its RR set k with chance RR_uk * (1 - exp(-s_bu)).
+    Pool b holds runs [b * samples, (b + 1) * samples) of every row (see
+    reverse_reachable_pool); u hits its RR set k with chance
+    RR_uk * (1 - exp(-s_bu)), given as the unpacked uint8 RR bits and the
+    scale 1 - exp(-s_bu).
     """
     points = np.atleast_2d(points)
     batch, m = points.shape
-    scale = net_relaxation(points.ravel(), np.ones(points.size)).reshape(batch, m).T[:, :, None]
+    scale = net_relaxation(points.ravel(), np.ones(points.size)).reshape(batch, m).T
 
     def hits(part):
         bits = np.unpackbits(pool[part], axis=1, count=batch * samples)
-        return bits.reshape(-1, batch, samples) * scale[part]
+        return bits.reshape(-1, batch, samples), scale[part]
 
     return hits
 
 
 def _provider_hits(pool, samples, y_set, M):
-    """Provider hits for sigma(., Y) on one pool: i hits RR set k with chance 1 - q_ik.
+    """Provider hits for sigma(., Y) on one pool: i hits RR set k with chance 1 - q_ik, at scale 1.
 
     q_ik = prod_{u in RR_k and Y} (1 - M_iu); log q sums Y's pool rows in
     _chunks, so Y is never unpacked whole.
@@ -163,47 +172,49 @@ def _provider_hits(pool, samples, y_set, M):
         bits = np.unpackbits(pool[ys[part]], axis=1, count=samples)
         log_q += log_keep[:, part] @ bits.astype(float)
     hit = -np.expm1(log_q)[:, None]
-    return lambda part: hit[part]
+    ones = np.ones((M.shape[0], 1))
+    return lambda part: (hit[part], ones[part])
 
 
-def _pool_pick(instance, count, budget, samples, rng_paths, hits, *args):
-    """Greedy for `budget` of `count` elements on one fresh RR pool per stream(*path) of
-    rng_paths, drawn and searched as one batch with hits(pool, samples, *args).
+def _pool_pick(instance, count, budget, samples, key, points, hits, *args):
+    """Greedy for `budget` of `count` elements on the RR pools of the range `points` at
+    `key` (see reverse_reachable_pool), drawn and searched as one batch with
+    hits(pool, samples, *args).
 
-    Returns (picks, one list per path; gains computed per path); budget = count
-    picks all and draws no pool.
+    Returns (picks, one list per point; gains computed per point); budget =
+    count picks all and draws no pool.
     """
     if budget == count:
-        return [list(range(count))] * len(rng_paths), 0
-    pool = reverse_reachable_pool(instance, samples, *(stream(*path) for path in rng_paths))
-    return _pool_greedy(hits(pool, samples, *args), count, samples, budget, len(rng_paths))
+        return [list(range(count))] * len(points), 0
+    pool = reverse_reachable_pool(instance, samples, key, points.start, len(points))
+    return _pool_greedy(hits(pool, samples, *args), count, samples, budget, len(points))
 
 
 def _pool_batch(instance, samples):
     """Net points whose consumer pools fit in POOL_BUDGET bytes together (at least one).
 
-    Counts per point: the pool, its live-edge bits packed and as bytes, its
-    one-hot targets and hits unpacked as bytes, its hits as floats, and its
-    miss vector; and once per batch the raw words of one pool's edges, since
-    the generators draw them one at a time.
+    Counts per point: the raw words of its window, its live-edge bits packed
+    and as bytes, its pool, its one-hot targets and RR bits unpacked as
+    bytes, its miss vector and the two float rows of a miss update.
     """
     row = _word_bytes(samples)
     edges, m = len(instance.social_edges), instance.n_consumers
-    per_point = edges * (row + samples) + m * (row + 10 * samples) + 8 * samples
-    return max(1, (POOL_BUDGET - edges * 8 * ((samples + 1) // 2)) // per_point)
+    per_point = 8 * _window(instance, samples) + edges * (row + samples) + m * (row + 2 * samples) + 24 * samples
+    return max(1, POOL_BUDGET // per_point)
 
 
 def solve(instance, config):
     """Run the full pipeline; returns (best SeedSolution, per-net-point report).
 
     Builds the one-sided net; at every net point i a greedy picks consumers
-    for the surrogate on an RR pool from (seed, "pool", i). The points go in
-    batches of _pool_batch: a batch draws its pools in one call and runs
-    one greedy over all of them, and each point still picks what it would
-    pick alone. The provider phase depends on the consumer set alone, so
-    it runs once per distinct set, at the first point i that picks it: a
-    greedy for the real objective on an RR pool from (seed, "x", i), then a
-    forward estimate of the pair on (seed, "final", i). Rows of points that picked the same
+    for the surrogate on RR pool i at key (seed, "pool"), the i-th window of
+    that stream (see reverse_reachable_pool). The points go in batches of
+    _pool_batch: a batch draws its pools in one call and runs one greedy
+    over all of them, and each point still picks what it would pick alone.
+    The provider phase depends on the consumer set alone, so it runs once
+    per distinct set, at the first point i that picks it: a greedy for the
+    real objective on RR pool i at key (seed, "x"), then a forward estimate
+    of the pair on stream(seed, "final", i). Rows of points that picked the same
     consumer set are one shared dict, whose net_point_index names the point
     that computed it and whose evaluations count that point's gains. The
     largest estimate wins (the first point on a tie) and is estimated once
@@ -233,13 +244,13 @@ def solve(instance, config):
     for first in range(0, count, batch):
         points = range(first, min(first + batch, count))
         y_sets, evaluations_y = _pool_pick(
-            instance, m, b2, y_samples, [(seed, "pool", i) for i in points], _consumer_hits, net.points[points]
+            instance, m, b2, y_samples, (seed, "pool"), points, _consumer_hits, net.points[points]
         )
         for i, y_set in zip(points, y_sets):
             key = tuple(sorted(y_set))
             if key not in rows:
                 [x_set], evaluations_x = _pool_pick(
-                    instance, n, b1, x_samples, [(seed, "x", i)], _provider_hits, key, instance.bipartite
+                    instance, n, b1, x_samples, (seed, "x"), range(i, i + 1), _provider_hits, key, instance.bipartite
                 )
                 final_path = (seed, "final", i)
                 value = estimate_sigma(

@@ -403,12 +403,14 @@ def test_reversed_edges_equal_the_per_edge_build(case):
 def reference_pool(instance, samples, rng):
     """RR sets as a (m, samples) bool array, one backward search per run.
 
-    Takes the draws reverse_reachable_pool takes: the targets, then the
-    live edges as reference_draws takes them, edges ordered by (source,
-    target).
+    Takes the words reverse_reachable_pool reads from a pool's window, from
+    an `rng` whose raw words start at that window: ceil(samples/2) words
+    whose 32-bit halves give the targets as (half * m) >> 32, then the live
+    edges as reference_draws takes them, edges ordered by (source, target).
     """
     m, edges = instance.n_consumers, instance.social_edges
-    targets = rng.integers(0, m, size=samples)
+    halves = rng.bit_generator.random_raw((samples + 1) // 2).view(np.uint32)[:samples]
+    targets = [int(half) * m >> 32 for half in halves]
     live = np.empty((samples, len(edges)), dtype=bool)
     if edges:
         by_source = np.lexsort(([e[1] for e in edges], [e[0] for e in edges]))
@@ -418,7 +420,7 @@ def reference_pool(instance, samples, rng):
         into[v].append((u, k))
     out = np.zeros((m, samples), dtype=bool)
     for run, target in enumerate(targets):
-        seen, frontier = {int(target)}, [int(target)]
+        seen, frontier = {target}, [target]
         while frontier:
             frontier = [u for v in frontier for u, k in into[v] if live[run, k] and u not in seen]
             seen.update(frontier)
@@ -426,13 +428,23 @@ def reference_pool(instance, samples, rng):
     return out
 
 
+def window_length(instance, samples):
+    """Raw words per pool window: the targets' and every drawn edge's ceil(samples/2), in whole 4-word blocks."""
+    drawn = sum(0.0 < p < 1.0 for _, _, p in instance.social_edges)
+    return 4 * math.ceil((samples + 1) // 2 * (1 + drawn) / 4)
+
+
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 @pytest.mark.parametrize("samples", [1, 9, 63, 64, 65, 300])
 def test_reverse_reachable_pool_equals_a_backward_search(case, samples):
     inst = KERNEL_CASES[case]
     for seed in range(3):
-        pool = diffusion.reverse_reachable_pool(inst, samples, np.random.default_rng(seed))
-        want = reference_pool(inst, samples, np.random.default_rng(seed))
+        # pool `seed` at the key: the window after `seed` earlier ones
+        key = (seed, "rr-check")
+        pool = diffusion.reverse_reachable_pool(inst, samples, key, seed, 1)
+        rng = stream(*key)
+        rng.bit_generator.random_raw(seed * window_length(inst, samples))
+        want = reference_pool(inst, samples, rng)
         assert pool.dtype == np.uint8 and pool.shape == (inst.n_consumers, 8 * ((samples + 63) // 64))
         bits = np.unpackbits(pool, axis=1)
         assert np.array_equal(bits[:, :samples], want)
@@ -442,20 +454,50 @@ def test_reverse_reachable_pool_equals_a_backward_search(case, samples):
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 @pytest.mark.parametrize("samples", [1, 63, 65, 300])
 def test_each_pool_of_a_batch_equals_its_own_draw(monkeypatch, case, samples):
-    # pools drawn on one run axis, and through one _propagate, keep the bits
-    # of a draw from their generator alone, also when the one-hot rows and
-    # the edge draws go in chunks of one row
+    # pool i reads its own window whatever is read with it: drawn alone, in
+    # a batch of 5 on one run axis and through one _propagate, and with the
+    # window rows read in chunks of one row
     inst = KERNEL_CASES[case]
-    alone = [diffusion.reverse_reachable_pool(inst, samples, stream(k, "batch-check")) for k in range(5)]
+    key = (3, "batch-check")
+    alone = [diffusion.reverse_reachable_pool(inst, samples, key, i, 1) for i in range(2, 7)]
+    reads = []
+    window_words = diffusion.window_words
+    monkeypatch.setattr(diffusion, "window_words", lambda *args: reads.append(args) or window_words(*args))
     for budget in (1, diffusion.DRAW_BUDGET):
         monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
-        pools = diffusion.reverse_reachable_pool(inst, samples, *(stream(k, "batch-check") for k in range(5)))
+        for i, pool in enumerate(alone, start=2):
+            assert np.array_equal(diffusion.reverse_reachable_pool(inst, samples, key, i, 1), pool), (budget, i)
+        reads.clear()
+        pools = diffusion.reverse_reachable_pool(inst, samples, key, 2, 5)
         assert pools.dtype == np.uint8 and pools.shape == (inst.n_consumers, 8 * ((5 * samples + 63) // 64))
         bits = np.unpackbits(pools, axis=1)
         assert not bits[:, 5 * samples :].any()  # padding stays clear for _propagate
         for k, pool in enumerate(alone):
             want = np.unpackbits(pool, axis=1, count=samples)
             assert np.array_equal(bits[:, k * samples : (k + 1) * samples], want), (budget, k)
+        # one read of the 5 adjacent windows when one chunk holds every row,
+        # else one read per pool and row
+        window = window_length(inst, samples)
+        rows = 1 + sum(0.0 < p < 1.0 for _, _, p in inst.social_edges)
+        if budget > 1 or rows == 1:
+            assert reads == [(key, 2 * window, 5 * window)]
+        else:
+            words = (samples + 1) // 2
+            assert reads == [(key, i * window + r * words, words) for r in range(rows) for i in range(2, 7)]
+
+
+@pytest.mark.parametrize("m", [3, 7])
+def test_targets_are_uniform(m):
+    # no edges: every RR set is its target alone, so row u counts the runs
+    # that picked u; 2**20 runs put each count within 5 standard errors of
+    # runs / m
+    inst = make_instance(np.full((1, m), 0.5), lam=1)
+    runs = 1 << 20
+    pool = diffusion.reverse_reachable_pool(inst, runs, (0, "uniform", m), 0, 1)
+    counts = np.unpackbits(pool, axis=1).sum(axis=1)
+    assert counts.sum() == runs
+    se = math.sqrt(runs * (1.0 / m) * (1.0 - 1.0 / m))
+    assert np.all(np.abs(counts - runs / m) < 5.0 * se), counts
 
 
 def test_pool_surrogate_matches_exact_rho_bar():
@@ -467,7 +509,7 @@ def test_pool_surrogate_matches_exact_rho_bar():
         s = 0.1 + 2.0 * pick.random(6)
         s[k] = 0.0  # a zero coordinate seeds nobody
         y = indicator(pick.choice(6, 3, replace=False), 6)
-        pool = diffusion.reverse_reachable_pool(inst, samples, stream(k, "pool-check"))
+        pool = diffusion.reverse_reachable_pool(inst, samples, (k, "pool-check"), 0, 1)
         rr = np.unpackbits(pool, axis=1, count=samples).T
         values = 6.0 * -np.expm1(-(rr @ (s * y)))
         se = values.std(ddof=1) / math.sqrt(samples)
@@ -482,7 +524,7 @@ def test_pool_memory_is_bounded_on_a_large_graph():
     inst = gen_rank_r(20, 3000, 2, social_edge_count=20000, seed=3)
     tracemalloc.start()
     try:
-        pool = diffusion.reverse_reachable_pool(inst, 4000, stream(0, "big-pool"))
+        pool = diffusion.reverse_reachable_pool(inst, 4000, (0, "big-pool"), 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -539,8 +581,8 @@ def test_packed_draws_do_not_depend_on_the_chunk_size(monkeypatch, samples):
     for budget in (1, 1000, diffusion.DRAW_BUDGET):
         monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
         rng = CountingRng(5)
-        seeds = diffusion._packed_draws([rng], samples, init)
-        bits[budget] = np.vstack([seeds, diffusion._packed_draws([rng], samples, prob)])
+        seeds = diffusion._packed_draws(rng, samples, init)
+        bits[budget] = np.vstack([seeds, diffusion._packed_draws(rng, samples, prob)])
         rows = max(1, budget // (8 * ((samples + 1) // 2)))
         assert rng.calls == sum(math.ceil(n / rows) for n in drawn)
         assert diffusion._batch_spread(inst, init, samples, CountingRng(5)) == want
@@ -553,19 +595,19 @@ def test_certain_rows_draw_nothing():
     samples = 100
     probs = np.array([0.0, 1.0, 0.3, 1.0, 0.0])
     rng = CountingRng(3)
-    bits = np.unpackbits(diffusion._packed_draws([rng], samples, probs), axis=1, count=samples).astype(bool)
+    bits = np.unpackbits(diffusion._packed_draws(rng, samples, probs), axis=1, count=samples).astype(bool)
     assert rng.calls == 1
     assert not bits[[0, 4]].any() and bits[[1, 3]].all()
     assert np.array_equal(bits[2], reference_draws(np.random.default_rng(3), samples, [0.3])[:, 0])
     rng = CountingRng(3)
-    diffusion._packed_draws([rng], samples, probs[[0, 1, 3, 4]])
+    diffusion._packed_draws(rng, samples, probs[[0, 1, 3, 4]])
     assert rng.calls == 0
 
 
 @pytest.mark.parametrize("samples", [1, 63, 64, 65, 1001])
 def test_padding_bits_stay_clear(samples):
     probs = np.array([0.0, 0.3, 0.999, 1.0])
-    out = diffusion._packed_draws([np.random.default_rng(samples)], samples, probs)
+    out = diffusion._packed_draws(np.random.default_rng(samples), samples, probs)
     assert out.dtype == np.uint8 and out.shape == (4, 8 * ((samples + 63) // 64))
     bits = np.unpackbits(out, axis=1)
     assert not bits[:, samples:].any()
@@ -575,7 +617,7 @@ def test_padding_bits_stay_clear(samples):
 @pytest.mark.parametrize("p", [1e-3, 0.25, 0.5, 0.999])
 def test_row_frequencies_match_their_probabilities(p):
     samples = 1 << 20
-    out = diffusion._packed_draws([stream(0, "freq", str(p))], samples, np.array([p]))
+    out = diffusion._packed_draws(stream(0, "freq", str(p)), samples, np.array([p]))
     hits = int(np.unpackbits(out).sum())
     assert abs(hits / samples - p) <= 5.0 * math.sqrt(p * (1.0 - p) / samples)
 
@@ -591,7 +633,7 @@ def test_thresholds_round_down_to_multiples_of_two_to_the_minus_32():
         (0x8000_0000_8000_0000, [0.5, 0.5 + 2.0**-32], [False, True]),
     ]
     for word, probs, fires in cases:
-        out = diffusion._packed_draws([ConstantRaw(word)], 9, np.array(probs))
+        out = diffusion._packed_draws(ConstantRaw(word), 9, np.array(probs))
         for row, fire in zip(np.unpackbits(out, axis=1, count=9), fires, strict=True):
             assert row.all() if fire else not row.any()
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,24 @@ def test_grid_past_the_float_range_is_refused():
         with pytest.raises(ValueError, match=rf"^a grid from 2\^-{lam} in steps of 1\+{eps} passes the float range$"):
             build_grid(lam, eps, n)
     assert build_grid(1020, 0.5, 4)[-1] >= 4
+
+
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+def test_numpy_scalar_epsilons_give_the_python_float_grid(scalar):
+    # a NumPy scalar overflows to inf with a warning where a Python float
+    # raises OverflowError, so each is converted before any arithmetic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam, eps, n in ((20, 0.5, 4), (8, 0.25, 6), (3, 0.1, 2), (1, 1000.0, 3)):
+            grid = build_grid(lam, scalar(eps), n)
+            assert grid.dtype == float and np.array_equal(grid, build_grid(lam, float(scalar(eps)), n))
+        for lam, eps, n in ((1020, 1000.0, 4), (1075, 0.5, 1)):
+            message = rf"^a grid from 2\^-{lam} in steps of 1\+{eps} passes the float range$"
+            with pytest.raises(ValueError, match=message):
+                build_grid(lam, scalar(eps), n)
+        for eps in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^epsilon must be a positive finite number"):
+                build_grid(4, scalar(eps), 2)
 
 
 def test_tiny_epsilon_is_refused_before_the_grid_exists():

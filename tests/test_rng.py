@@ -1,6 +1,6 @@
 import numpy as np
 
-from amphimax._rng import stream
+from amphimax._rng import stream, window_words
 
 
 def test_same_address_same_draws():
@@ -25,3 +25,22 @@ def test_string_parts_hash_stably():
     b = stream(0, "final", 2).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(stream(0, "final", 2).random(4), stream(0, "fina1", 2).random(4))
+
+
+def test_window_words_are_slices_of_the_stream():
+    # any window reads what one sequential draw of the stream's raw words
+    # holds there, whatever was read before: every start in the first few
+    # 4-word blocks, lengths that end inside, at and past block edges
+    sequence = stream(5, "pool").bit_generator.random_raw(64)
+    for start in range(14):
+        for count in (0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 17):
+            got = window_words((5, "pool"), start, count)
+            assert got.dtype == np.uint64 and np.array_equal(got, sequence[start : start + count]), (start, count)
+    # reads at another address in between leave this one's windows alone
+    window_words((5, "x"), 3, 10)
+    assert np.array_equal(window_words((5, "pool"), 40, 24), sequence[40:])
+    assert not np.array_equal(window_words((5, "x"), 0, 8), sequence[:8])
+    # far windows: word 4j + r is word r of the block at counter j + 1
+    far = stream(5, "pool").bit_generator
+    far.advance(1000)
+    assert np.array_equal(window_words((5, "pool"), 4000 + 2, 6), far.random_raw(8)[2:])

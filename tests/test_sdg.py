@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from amphimax import diffusion, sdg
-from amphimax._rng import stream
 from amphimax.diffusion import (
     DEFAULT_MC_EPS,
     DRAW_BUDGET,
@@ -241,12 +240,16 @@ def _pool_keep(pool, samples, Y, M):
 
 
 def _provider_oracle(pool, samples, Y, M):
-    """sigma(X, Y) on the pool, computed from scratch for each X."""
+    """sigma(X, Y) on the pool, computed from scratch for each X.
+
+    Each run's product takes its factors in sorted order, so two providers
+    with equal rows give X equal values wherever their indices sort.
+    """
     keep = _pool_keep(pool, samples, Y, M)
     m = pool.shape[0]
 
     def oracle(X):
-        return SpreadEstimate(m * float(np.mean(1.0 - keep[list(X)].prod(axis=0))), 0.0, samples)
+        return SpreadEstimate(m * float(np.mean(1.0 - np.sort(keep[list(X)], axis=0).prod(axis=0))), 0.0, samples)
 
     return oracle
 
@@ -261,10 +264,14 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool():
         s[[2, 7]] = 0.0
         s[6] = s[1]
         samples = 64 * (k + 1) + k
-        pool = reverse_reachable_pool(inst, samples, stream(k, "greedy-check"))
+        pool = reverse_reachable_pool(inst, samples, (k, "greedy-check"), k, 1)
         pool[6] = pool[1]
         budget = 1 + k % 8  # greedy_max returns the whole ground set at 9
-        [picks], evaluations = sdg._pool_greedy(sdg._consumer_hits(pool, samples, s), 9, samples, budget)
+        hits = sdg._consumer_hits(pool, samples, s)
+        rows, scale = hits(slice(None))
+        assert rows.dtype == np.uint8 and np.array_equal(rows[:, 0], np.unpackbits(pool, axis=1, count=samples))
+        assert np.array_equal(scale[:, 0], -np.expm1(-s))
+        [picks], evaluations = sdg._pool_greedy(hits, 9, samples, budget)
         want, _ = greedy_max(_consumer_oracle(pool, samples, s), range(9), budget)
         assert picks == want
         assert evaluations == sum(9 - t for t in range(budget)) <= 9 * budget + 9 + 1
@@ -281,13 +288,15 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool():
         M[5, k % 7] = 1.0
         inst = make_instance(M, base.social_edges, lam=base.bit_precision)
         Y = tuple(sorted(np.random.default_rng([k, 4]).choice(7, 1 + k % 5, replace=False).tolist()))
-        pool = reverse_reachable_pool(inst, samples, stream(k, "provider-check"))
+        pool = reverse_reachable_pool(inst, samples, (k, "provider-check"), k, 1)
         hits = sdg._provider_hits(pool, samples, Y, M)
         [picks], evaluations = sdg._pool_greedy(hits, 9, samples, budget)
         want, _ = greedy_max(_provider_oracle(pool, samples, Y, M), range(9), budget)
         assert picks == want, k
         assert evaluations == sum(9 - t for t in range(budget))
-        assert np.allclose(hits(slice(None))[:, 0], 1.0 - _pool_keep(pool, samples, Y, M), rtol=0.0, atol=1e-12)
+        rows, scale = hits(slice(None))
+        assert np.allclose(rows[:, 0], 1.0 - _pool_keep(pool, samples, Y, M), rtol=0.0, atol=1e-12)
+        assert np.array_equal(scale, np.ones((9, 1)))
 
 
 def _recording_hits(hits, parts):
@@ -304,7 +313,7 @@ def test_pool_greedy_gains_in_row_chunks(monkeypatch):
     inst = gen_rank_r(9, 9, 1, social_edge_count=12, seed=4)
     s = np.linspace(0.1, 1.7, 9)
     Y = (0, 2, 3, 5, 8)
-    pool = reverse_reachable_pool(inst, 500, stream(0, "chunks"))
+    pool = reverse_reachable_pool(inst, 500, (0, "chunks"), 0, 1)
     consumer_hits = sdg._consumer_hits(pool, 500, s)
     provider_hits = sdg._provider_hits(pool, 500, Y, inst.bipartite)
     consumers = sdg._pool_greedy(consumer_hits, 9, 500, 4)
@@ -312,7 +321,8 @@ def test_pool_greedy_gains_in_row_chunks(monkeypatch):
     # 2 rows of 500 floats per chunk, in the gains and in the sum over Y
     monkeypatch.setattr(diffusion, "DRAW_BUDGET", 2 * 8 * 500)
     chunked_hits = sdg._provider_hits(pool, 500, Y, inst.bipartite)
-    assert np.allclose(chunked_hits(slice(None)), provider_hits(slice(None)), rtol=0.0, atol=1e-12)
+    (chunked, ones), (whole, _) = chunked_hits(slice(None)), provider_hits(slice(None))
+    assert np.allclose(chunked, whole, rtol=0.0, atol=1e-12) and np.array_equal(ones, np.ones((9, 1)))
     for hits, want in ((consumer_hits, consumers), (chunked_hits, providers)):
         parts = []
         assert sdg._pool_greedy(_recording_hits(hits, parts), 9, 500, 4) == want
@@ -331,8 +341,8 @@ def test_pool_estimate_of_sigma_matches_exact_sigma():
         pick = np.random.default_rng([k, 6])
         X = tuple(pick.choice(5, 1 + k % 3, replace=False).tolist())
         Y = tuple(sorted(pick.choice(6, 2 + k % 3, replace=False).tolist()))
-        pool = reverse_reachable_pool(inst, samples, stream(k, "sigma-check"))
-        hits = sdg._provider_hits(pool, samples, Y, inst.bipartite)(slice(None))[:, 0]
+        pool = reverse_reachable_pool(inst, samples, (k, "sigma-check"), 0, 1)
+        hits = sdg._provider_hits(pool, samples, Y, inst.bipartite)(slice(None))[0][:, 0]
         values = 6.0 * (1.0 - np.prod(1.0 - hits[list(X)], axis=0))
         se = values.std(ddof=1) / math.sqrt(samples)
         want = exact_sigma(inst, X, Y)
@@ -345,12 +355,12 @@ def test_provider_phase_memory_is_bounded(monkeypatch):
     # take 160 MB; the pool itself, drawn beforehand, is 7.2 MiB
     inst = gen_rank_r(20, 3000, 2, social_edge_count=2000, seed=3)
     samples = 20_000
-    pool = reverse_reachable_pool(inst, samples, stream(0, "big-provider-pool"))
+    pool = reverse_reachable_pool(inst, samples, (0, "big-provider-pool"), 0, 1)
     monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
     Y = tuple(range(0, 3000, 3))
     tracemalloc.start()
     try:
-        [picks], _ = sdg._pool_pick(inst, 20, 6, samples, [(0, "x", 0)], sdg._provider_hits, Y, inst.bipartite)
+        [picks], _ = sdg._pool_pick(inst, 20, 6, samples, (0, "x"), range(1), sdg._provider_hits, Y, inst.bipartite)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,25 +401,19 @@ def test_sample_counts_follow_the_union_bounds():
 
 
 def _recording(monkeypatch):
-    """Record every batch of RR pools that solve draws, in order: (stream paths, pool size)."""
-    paths, draws = {}, []
+    """Record every batch of RR pools that solve draws, in order: ((*key, i) of each pool i, pool size)."""
+    draws = []
 
-    def recording_stream(*path):
-        rng = stream(*path)
-        paths[id(rng)] = (rng, path)
-        return rng
+    def recording_pool(instance, samples, key, first, count):
+        draws.append(([(*key, i) for i in range(first, first + count)], samples))
+        return reverse_reachable_pool(instance, samples, key, first, count)
 
-    def recording_pool(instance, samples, *rngs):
-        draws.append(([paths[id(rng)][1] for rng in rngs], samples))
-        return reverse_reachable_pool(instance, samples, *rngs)
-
-    monkeypatch.setattr(sdg, "stream", recording_stream)
     monkeypatch.setattr(sdg, "reverse_reachable_pool", recording_pool)
     return draws
 
 
 def _pools(draws):
-    """The stream path of every pool drawn, in order."""
+    """The (*key, i) address of every pool drawn, in order."""
     return [path for batch, _ in draws for path in batch]
 
 
@@ -453,7 +457,7 @@ def _per_point_consumers(inst, config, samples):
     m, b2 = inst.n_consumers, inst.budget_consumers
     picks = []
     for i, s in enumerate(net.points):
-        pool = reverse_reachable_pool(inst, samples, stream(config.master_seed, "pool", i))
+        pool = reverse_reachable_pool(inst, samples, (config.master_seed, "pool"), i, 1)
         [chosen], _ = sdg._pool_greedy(sdg._consumer_hits(pool, samples, s), m, samples, b2)
         picks.append(sorted(chosen))
     return picks
@@ -507,6 +511,26 @@ def test_batched_solve_memory_is_bounded():
         tracemalloc.stop()
     assert len(report) == 559
     assert peak < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("m, edges, samples", [(3, 2, 2740), (3, 2, 300), (20, 40, 1000), (60, 100, 300)])
+def test_one_batch_of_pools_stays_in_the_pool_budget(m, edges, samples):
+    # the draw and the greedy of one batch of the size _pool_batch picks stay
+    # under POOL_BUDGET plus one chunk of raw words, a single pool's window
+    inst = gen_rank_r(4, m, 2, social_edge_count=edges, seed=3, budget_consumers=2)
+    batch = sdg._pool_batch(inst, samples)
+    assert batch > 1
+    points = np.random.default_rng(m).random((batch, m))
+    chunk = 8 * diffusion._window(inst, samples)
+    diffusion._reversed_edges(inst)  # cached arrays are not the batch's
+    tracemalloc.start()
+    try:
+        picks, _ = sdg._pool_pick(inst, m, 2, samples, (0, "pool"), range(batch), sdg._consumer_hits, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(picks) == batch
+    assert peak < sdg.POOL_BUDGET + chunk
 
 
 def test_independent_pools_reach_the_optimum_on_instance_518():
