@@ -86,6 +86,7 @@ def _cmd_solve(args, instance):
         "value": solution.value.mean,
         "std_error": solution.value.std_error,
         "net_size": len(report),
+        "net_searched": sum(not row["pruned"] for row in report),
         "rank": solution.rank,
     }
 
@@ -171,7 +172,7 @@ def _build_parser():
         help="override the RR sets per consumer and per provider pool (estimates take 4x as many runs)",
     )
     p.add_argument("--max-net-points", type=int, default=MAX_NET_POINTS)
-    p.add_argument("--report", default=None, help="write per-net-point rows here")
+    p.add_argument("--report", default=None, help="write per-net-point rows here (pruned points share one row)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", help="Monte Carlo spread estimate for given seed sets")

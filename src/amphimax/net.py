@@ -95,12 +95,38 @@ def independent_column_tuples(basis):
             yield combo
 
 
+def _candidates(rows, tuples, assignments, limit):
+    """Weak candidates of all column tuples, stacked.
+
+    Each tuple pins its coordinates to every assignment row and solves for
+    the rest; a candidate stays if every coordinate lies in
+    [-NOISE_TOL, limit], with negatives then set to 0.
+    """
+    chunks = []
+    for combo in tuples:
+        block = rows[:, combo]
+        z = np.linalg.solve(block.T, assignments.T).T
+        pts = z @ rows
+        pts[:, list(combo)] = assignments  # pinned coordinates are exact grid values
+        keep = (pts >= -NOISE_TOL).all(axis=1) & (pts <= limit).all(axis=1)
+        pts = pts[keep]
+        pts[pts < 0.0] = 0.0
+        chunks.append(pts)
+    return np.vstack(chunks) if chunks else np.zeros((0, rows.shape[1]))
+
+
 def _canonical(points):
-    """Points sorted lexicographically, each dropped if within DEDUP_TOL of the one before."""
+    """Points sorted lexicographically, each dropped if within DEDUP_TOL of the one before.
+
+    Each copy is dropped as soon as the next exists, so a caller that hands
+    over its only reference holds at most two copies at once.
+    """
     points = points[np.lexsort(points.T[::-1])]
     if points.shape[0] <= 1:
         return points
-    close = np.abs(np.diff(points, axis=0)).max(axis=1) < DEDUP_TOL
+    step = np.diff(points, axis=0)
+    close = np.abs(step, out=step).max(axis=1) < DEDUP_TOL
+    del step
     return points[np.concatenate(([True], ~close))]
 
 
@@ -147,19 +173,10 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
     grid = build_grid(bit_precision, weak_eps, n)
     # row order matches itertools.product(grid, repeat=r)
     assignments = np.stack(np.meshgrid(*([grid] * r), indexing="ij"), axis=-1).reshape(-1, r)
-    rows = basis.basis_rows
     limit = n * (1.0 + weak_eps) + NOISE_TOL
-    chunks = []
-    for combo in tuples:
-        block = rows[:, combo]
-        z = np.linalg.solve(block.T, assignments.T).T
-        pts = z @ rows
-        pts[:, list(combo)] = assignments  # pinned coordinates are exact grid values
-        keep = (pts >= -NOISE_TOL).all(axis=1) & (pts <= limit).all(axis=1)
-        pts = pts[keep]
-        pts[pts < 0.0] = 0.0
-        chunks.append(pts)
-    points = _canonical(np.vstack(chunks) if chunks else np.zeros((0, m))) / root
+    # the stacked candidates pass straight to _canonical, which may drop them once sorted
+    points = _canonical(_candidates(basis.basis_rows, tuples, assignments, limit))
+    points /= root
     points = points[(points <= n + NOISE_TOL).all(axis=1)]
     if len(points) > max_points:
         raise NetSizeError(
@@ -167,3 +184,45 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
             f"over the cap {max_points}; raise epsilon or the cap (--max-net-points)"
         )
     return EpsilonNet(points=points, epsilon=epsilon, rank=r, grid_size=size)
+
+
+def covers(points, target, epsilon, zero_tol=DEDUP_TOL, slack=DEDUP_TOL):
+    """Mask of the points s that bracket `target` t one-sidedly, the net's cover relation.
+
+    s_j <= t_j <= (1+eps) s_j, each within `slack`, wherever t_j > 0, and
+    s_j <= zero_tol wherever t_j = 0.
+
+    A stack of targets (..., m) gives a mask of shape (..., points).
+    """
+    t = np.asarray(target, dtype=float)[..., None, :]
+    upper = np.where(t > 0.0, t + slack, zero_tol)
+    return ((points <= upper) & (t <= (1.0 + epsilon) * points + slack)).all(axis=-1)
+
+
+def prune_net(net, M, budget, bit_precision):
+    """Indices, in net order, of the points that can bracket x^T M for some x with budget ones.
+
+    Only such a point can be the s* of the guarantee, the one that brackets
+    the optimal provider set's image. The relation is `covers` with zero_tol
+    2**-bit_precision, the least nonzero grid value. Two filters, both sound:
+    a point with some s_j past the sum of the `budget` largest entries of
+    column j covers no such image (O(points * m)); the survivors are then
+    tested against all C(n, budget) images when that takes at most CELL_CAP
+    cells, in blocks no larger than the images themselves.
+    """
+    M = np.asarray(M, dtype=float)
+    n, m = M.shape
+    zero_tol = 2.0**-bit_precision
+    cap = np.sort(M, axis=0)[n - budget :].sum(axis=0)
+    kept = np.flatnonzero((net.points <= np.maximum(cap + DEDUP_TOL, zero_tol)).all(axis=1))
+    sets = math.comb(n, budget)
+    if sets * len(kept) * m > CELL_CAP:
+        return kept
+    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), budget)), np.intp)
+    images = M[combos.reshape(sets, budget)].sum(axis=1)
+    points = net.points[kept]
+    hit = np.zeros(len(kept), dtype=bool)
+    block = max(1, sets // max(1, len(kept)))
+    for first in range(0, sets, block):
+        hit |= covers(points, images[first : first + block], net.epsilon, zero_tol).any(axis=0)
+    return kept[hit]

@@ -21,7 +21,7 @@ from .diffusion import (
 )
 from .greedy import greedy_max  # noqa: F401 -- unused here; the traced benchmark wraps this name
 from .instance import InstanceValidationError, numerical_rank, validate
-from .net import MAX_NET_POINTS, build_net
+from .net import MAX_NET_POINTS, build_net, prune_net
 from .relaxation import indicator, initial_activation, net_relaxation
 
 E_COMPLEMENT = 1.0 - 1.0 / math.e
@@ -87,7 +87,7 @@ def _auto_samples(instance, config, net_size):
     """(consumer pool size, provider pool size), each Hoeffding-sized for its phase.
 
     Each phase gets half of delta, union-bounded at each of the net_size
-    points over the C(size, budget) sets its greedy can return plus one term
+    searched points over the C(size, budget) sets its greedy can return plus one term
     (consumers) or two, the optimum and the final estimate (providers), in
     log space: C(m, b2) is past the float range at m in the thousands.
     """
@@ -206,20 +206,25 @@ def _pool_batch(instance, samples):
 def solve(instance, config):
     """Run the full pipeline; returns (best SeedSolution, per-net-point report).
 
-    Builds the one-sided net; at every net point i a greedy picks consumers
-    for the surrogate on RR pool i at key (seed, "pool"), the i-th window of
-    that stream (see reverse_reachable_pool). The points go in batches of
-    _pool_batch: a batch draws its pools in one call and runs one greedy
-    over all of them, and each point still picks what it would pick alone.
-    The provider phase depends on the consumer set alone, so it runs once
-    per distinct set, at the first point i that picks it: a greedy for the
-    real objective on RR pool i at key (seed, "x"), then a forward estimate
-    of the pair on stream(seed, "final", i). Rows of points that picked the same
-    consumer set are one shared dict, whose net_point_index names the point
-    that computed it and whose evaluations count that point's gains. The
-    largest estimate wins (the first point on a tie) and is estimated once
-    more on (seed, "report"): the maximum of many noisy estimates is biased
-    upward, a fresh draw is not.
+    Builds the one-sided net and searches only the points prune_net keeps,
+    the ones that can bracket the image of a budget-sized provider set: the
+    guarantee rests on one such point. At the j-th kept point i a greedy
+    picks consumers for the surrogate on RR pool j at key (seed, "pool"),
+    the j-th window of that stream (see reverse_reachable_pool). The points
+    go in batches of _pool_batch: a batch draws its pools in one call and
+    runs one greedy over all of them, and each point still picks what it
+    would pick alone. The provider phase depends on the consumer set alone,
+    so it runs once per distinct set, at the first point i that picks it: a
+    greedy for the real objective on RR pool i at key (seed, "x"), then a
+    forward estimate of the pair on stream(seed, "final", i).
+
+    The report has one row per built net point. Rows of points that picked
+    the same consumer set are one shared dict, whose net_point_index names
+    the point that computed it and whose evaluations count that point's
+    gains; every pruned point's row is one shared record with "pruned" true,
+    net_point_index None and empty sets. The largest estimate wins (the
+    first point on a tie) and is estimated once more on (seed, "report"):
+    the maximum of many noisy estimates is biased upward, a fresh draw is not.
     """
     violations = validate(instance)
     if violations:
@@ -228,25 +233,37 @@ def solve(instance, config):
     if basis.rank > MAX_RANK:
         raise ValueError(f"matrix rank {basis.rank} exceeds the supported max {MAX_RANK}")
     net = build_net(instance.bipartite, basis, config.epsilon, instance.bit_precision, config.max_net_points)
-    count = len(net)
+    n, m = instance.n_providers, instance.n_consumers
+    b1, b2 = instance.budget_providers, instance.budget_consumers
+    kept = prune_net(net, instance.bipartite, b1, instance.bit_precision)
+    count = len(kept)
     if config.samples_per_eval:
         y_samples = x_samples = config.samples_per_eval
     else:
         y_samples, x_samples = _auto_samples(instance, config, count)
     seed = config.master_seed
-    n, m = instance.n_providers, instance.n_consumers
-    b1, b2 = instance.budget_providers, instance.budget_consumers
 
-    report = []
+    pruned = {
+        "net_point_index": None,
+        "pruned": True,
+        "providers": [],
+        "consumers": [],
+        "value": None,
+        "std_error": None,
+        "evaluations_y": 0,
+        "evaluations_x": 0,
+    }
+    report = [pruned] * len(net)
     rows = {}
     best = None
     batch = _pool_batch(instance, y_samples)
     for first in range(0, count, batch):
-        points = range(first, min(first + batch, count))
+        indices = kept[first : first + batch]
         y_sets, evaluations_y = _pool_pick(
-            instance, m, b2, y_samples, (seed, "pool"), points, _consumer_hits, net.points[points]
+            instance, m, b2, y_samples, (seed, "pool"), range(first, first + len(indices)),
+            _consumer_hits, net.points[indices],
         )
-        for i, y_set in zip(points, y_sets):
+        for i, y_set in zip(indices.tolist(), y_sets):
             key = tuple(sorted(y_set))
             if key not in rows:
                 [x_set], evaluations_x = _pool_pick(
@@ -258,6 +275,7 @@ def solve(instance, config):
                 )
                 rows[key] = {
                     "net_point_index": i,
+                    "pruned": False,
                     "providers": sorted(x_set),
                     "consumers": list(key),
                     "value": value.mean,
@@ -267,7 +285,7 @@ def solve(instance, config):
                 }
                 if best is None or value.mean > best[3].mean:
                     best = (i, x_set, key, value)
-            report.append(rows[key])
+            report[i] = rows[key]
 
     i, x_set, y_set, _ = best
     report_path = (seed, "report")

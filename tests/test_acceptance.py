@@ -20,10 +20,10 @@ from amphimax.diffusion import estimate_sigma, exact_rho_bar, exact_sigma
 from amphimax.generators import gen_classic_im, gen_planted_biclique, gen_rank_r
 from amphimax.greedy import greedy_max
 from amphimax.instance import numerical_rank, serialize_instance, validate
-from amphimax.net import build_net
+from amphimax.net import build_net, covers
 from amphimax.relaxation import indicator, initial_activation, net_relaxation
 from amphimax.sdg import SdgConfig, approximation_ratio, brute_force_opt, solve
-from reference import concave_relaxation, covering_point
+from reference import concave_relaxation
 
 E_COMP = 1.0 - 1.0 / math.e
 
@@ -75,7 +75,7 @@ def test_criterion_02_net_coverage(capsys):
         misses = 0
         for bits in itertools.product((0.0, 1.0), repeat=10):
             target = np.array(bits) @ inst.bipartite
-            if covering_point(net, target, zero_tol=2.0**-4, slack=1e-9) < 0:
+            if not covers(net.points, target, eps, zero_tol=2.0**-4, slack=1e-9).any():
                 misses += 1
         elapsed = time.perf_counter() - t0
         bound = math.comb(8, 2) * net.grid_size**2
@@ -99,9 +99,9 @@ def test_criterion_03_surrogate_sandwich(capsys):
         net = build_net(inst.bipartite, basis, eps, inst.bit_precision)
         for X in masks(3):
             target = indicator(X, 3) @ inst.bipartite
-            idx = covering_point(net, target)
-            assert idx >= 0
-            s = net.points[idx]
+            hits = np.flatnonzero(covers(net.points, target, eps))
+            assert hits.size
+            s = net.points[hits[0]]
             for Y in masks(3):
                 sigma = exact_sigma(inst, X, Y)
                 hat = exact_rho_bar(inst, net_relaxation(s, indicator(Y, 3)))

@@ -11,7 +11,8 @@ import pytest
 from amphimax import cli
 from amphimax.diffusion import exact_sigma
 from amphimax.generators import gen_rank_r
-from amphimax.instance import parse_instance, serialize_instance
+from amphimax.instance import numerical_rank, parse_instance, serialize_instance
+from amphimax.net import build_net, prune_net
 
 
 def run_cli(*args, cwd=None):
@@ -230,7 +231,7 @@ def test_solve_payload_out_and_manifest(instance_file, tmp_path):
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert set(doc) == {"providers", "consumers", "value", "std_error", "net_size", "rank"}
+    assert set(doc) == {"providers", "consumers", "value", "std_error", "net_size", "net_searched", "rank"}
     assert doc["rank"] == 1
     assert len(doc["providers"]) == inst.budget_providers
     assert out.read_text() == proc.stdout
@@ -246,7 +247,15 @@ def test_solve_payload_out_and_manifest(instance_file, tmp_path):
     assert None not in manifest["config"].values()
     rows = json.loads(report.read_text())
     assert len(rows) == doc["net_size"]
-    assert rows[0]["net_point_index"] == 0
+    # row 0 is the zero point, which covers no provider image and is pruned;
+    # the first searched row computed its own sets
+    assert rows[0] == {
+        "net_point_index": None, "pruned": True, "providers": [], "consumers": [],
+        "value": None, "std_error": None, "evaluations_y": 0, "evaluations_x": 0,
+    }
+    searched = [k for k, row in enumerate(rows) if not row["pruned"]]
+    assert len(searched) == doc["net_searched"]
+    assert rows[searched[0]]["net_point_index"] == searched[0]
 
     # without --samples, delta sizes the samples and is recorded; unset options are not
     auto = tmp_path / "auto.json"
@@ -255,6 +264,17 @@ def test_solve_payload_out_and_manifest(instance_file, tmp_path):
     config = json.loads((tmp_path / "auto.json.manifest.json").read_text())["config"]
     assert config["delta"] == 0.01
     assert "samples" not in config and "report" not in config
+
+
+def test_solve_result_reports_both_net_sizes(instance_file):
+    path, inst = instance_file
+    proc = run_cli("solve", "--instance", str(path), "--epsilon", "0.8", "--samples", "40")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    net = build_net(inst.bipartite, numerical_rank(inst.bipartite), 0.8, inst.bit_precision)
+    kept = prune_net(net, inst.bipartite, inst.budget_providers, inst.bit_precision)
+    assert (doc["net_size"], doc["net_searched"]) == (len(net), len(kept))
+    assert 0 < doc["net_searched"] < doc["net_size"]
 
 
 def test_solve_deterministic_across_runs(instance_file):

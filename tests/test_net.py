@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from amphimax import net as net_module
+from amphimax.generators import gen_rank_r
 from amphimax.instance import numerical_rank
-from amphimax.net import NetSizeError, build_grid, build_net, independent_column_tuples
-from reference import covering_point
+from amphimax.net import NetSizeError, build_grid, build_net, covers, independent_column_tuples, prune_net
 
 
 def membership_residuals(net, basis):
@@ -212,9 +212,9 @@ def test_one_sided_net_covers_scaled_identity_example():
     M = 0.5 * np.eye(2)
     net = build_net(M, numerical_rank(M), 0.5, bit_precision=1)
     for t in all_indicator_images(M):
-        idx = covering_point(net, t, slack=1e-9)
-        assert idx >= 0
-        s = net.points[idx]
+        hits = np.flatnonzero(covers(net.points, t, net.epsilon, slack=1e-9))
+        assert hits.size
+        s = net.points[hits[0]]
         pos = t > 0
         assert np.all(s[pos] <= t[pos] + 1e-9)
         assert np.all(t[pos] <= 1.5 * s[pos] + 1e-9)
@@ -230,8 +230,7 @@ def test_one_sided_net_covers_exhaustively():
         basis = numerical_rank(M)
         net = build_net(M, basis, eps, bit_precision=4)
         for t in all_indicator_images(M):
-            idx = covering_point(net, t, slack=1e-9)
-            assert idx >= 0, f"no covering point for {t}"
+            assert covers(net.points, t, net.epsilon, slack=1e-9).any(), f"no covering point for {t}"
 
 
 def test_one_sided_net_zero_coordinate_coverage():
@@ -242,7 +241,7 @@ def test_one_sided_net_zero_coordinate_coverage():
     lam = 2
     net = build_net(M, basis, 1.0, bit_precision=lam)
     for t in all_indicator_images(M):
-        assert covering_point(net, t, zero_tol=2.0**-lam, slack=1e-9) >= 0
+        assert covers(net.points, t, net.epsilon, zero_tol=2.0**-lam, slack=1e-9).any()
 
 
 def test_net_size_bound_and_membership():
@@ -309,15 +308,89 @@ def test_one_sided_bracket_also_holds_through_sqrt_construction():
     net = build_net(M, basis, eps, bit_precision=4)
     for bits in itertools.product((0, 1), repeat=7):
         t = np.array(bits, dtype=float) @ M
-        idx = covering_point(net, t, slack=1e-9)
-        assert idx >= 0
-        s = net.points[idx]
+        hits = np.flatnonzero(covers(net.points, t, eps, slack=1e-9))
+        assert hits.size
+        s = net.points[hits[0]]
         pos = t > 0
         assert np.all(s[pos] <= t[pos] + 1e-9)
         assert np.all(t[pos] <= (1.0 + eps) * s[pos] + 1e-9)
 
 
-def test_covering_point_misses_return_minus_one():
+def test_covers_misses_an_image_no_point_brackets():
     M = np.array([[0.5, 0.5]])
     net = build_net(M, numerical_rank(M), 0.5, bit_precision=1)
-    assert covering_point(net, np.array([40.0, 40.0])) == -1
+    assert covers(net.points, M[0], net.epsilon).any()
+    assert not covers(net.points, np.array([40.0, 40.0]), net.epsilon).any()
+    # a stack of targets gives one row of the mask per target
+    mask = covers(net.points, np.array([M[0], [40.0, 40.0]]), net.epsilon)
+    assert mask.shape == (2, len(net))
+    assert mask[0].any() and not mask[1].any()
+
+
+def test_build_net_holds_at_most_three_candidate_copies():
+    # 300 rank-1 column tuples of 62 grid values: 5.6M candidate cells; the
+    # per-tuple blocks, their stack and its sorted copy were once alive
+    # together (155.6 MiB under tracemalloc, 3.65x the candidate bytes)
+    inst = gen_rank_r(20, 300, 1, social_edge_count=600, seed=3)
+    basis = numerical_rank(inst.bipartite)
+    tracemalloc.start()
+    try:
+        net = build_net(inst.bipartite, basis, 0.5, inst.bit_precision)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    candidates = len(list(independent_column_tuples(basis))) * net.grid_size * 300 * 8
+    assert len(net) == 16692
+    assert peak < 3 * candidates
+
+
+def _images(M, budget):
+    """x^T M for every provider indicator x with `budget` ones."""
+    for combo in itertools.combinations(range(M.shape[0]), budget):
+        yield M[list(combo)].sum(axis=0)
+
+
+def test_pruned_net_covers_every_budget_sized_image(monkeypatch):
+    # random rank-1 and rank-2 instances, some with zero provider rows; every
+    # image of a budget-sized set is covered by a kept point, under the exact
+    # cover test and under the column cap alone
+    rng = np.random.default_rng(19)
+    cut = 0
+    for trial in range(12):
+        n, m, r = int(rng.integers(3, 7)), int(rng.integers(2, 6)), 1 + trial % 2
+        inst = gen_rank_r(n, m, r, edge_prob=(1.0, 0.6)[trial % 3 == 2], factor_low=0.2 * (trial % 2), seed=trial)
+        M, lam = inst.bipartite, inst.bit_precision
+        eps = (0.5, 0.9)[trial % 2]
+        net = build_net(M, numerical_rank(M), eps, lam)
+        for budget in range(1, min(3, n) + 1):
+            kept = prune_net(net, M, budget, lam)
+            with monkeypatch.context() as patch:
+                patch.setattr(net_module, "CELL_CAP", 0)
+                capped = prune_net(net, M, budget, lam)
+            assert set(kept) <= set(capped) and np.all(np.diff(capped) > 0)
+            cut += len(capped) - len(kept)
+            for t in _images(M, budget):
+                assert covers(net.points, t, eps, zero_tol=2.0**-lam).any()
+                for indices in (kept, capped):
+                    assert covers(net.points[indices], t, eps, zero_tol=2.0**-lam).any(), (trial, budget, t)
+    # the exact test drops points the column cap keeps
+    assert cut > 0
+
+
+def test_prune_net_keeps_what_covers_on_the_ladder_rungs():
+    # built -> column cap -> cover test, as measured when the pruning was designed
+    for (n, m, r, edges, eps), sizes in (
+        ((4, 3, 1, 2, 0.5), (73, 39, 19)),
+        ((4, 3, 2, 2, 0.8), (559, 129, 27)),
+        ((6, 5, 1, 6, 0.6), (144, 109, 43)),
+    ):
+        inst = gen_rank_r(n, m, r, social_edge_count=edges, seed=3)
+        M, lam, b1 = inst.bipartite, inst.bit_precision, inst.budget_providers
+        net = build_net(M, numerical_rank(M), eps, lam)
+        kept = prune_net(net, M, b1, lam)
+        cap = np.sort(M, axis=0)[n - b1 :].sum(axis=0)
+        below_cap = np.flatnonzero((net.points <= cap + 1e-12).all(axis=1))
+        assert (len(net), len(below_cap), len(kept)) == sizes
+        # a point is kept exactly when it covers the image of some b1-sized set
+        images = np.array(list(_images(M, b1)))
+        assert kept.tolist() == np.flatnonzero(covers(net.points, images, eps, zero_tol=2.0**-lam).any(axis=0)).tolist()

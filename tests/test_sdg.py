@@ -17,7 +17,7 @@ from amphimax.diffusion import (
 from amphimax.generators import gen_rank_r
 from amphimax.greedy import greedy_max
 from amphimax.instance import AimInstance, InstanceValidationError
-from amphimax.net import NetSizeError, build_net
+from amphimax.net import NetSizeError, build_net, prune_net
 from amphimax.instance import numerical_rank
 from amphimax.sdg import FINAL_FACTOR, MAX_RANK, SdgConfig, approximation_ratio, brute_force_opt, solve
 
@@ -172,17 +172,38 @@ def test_solve_budgets_and_report_shape():
     net = build_net(inst.bipartite, numerical_rank(inst.bipartite), 0.6, inst.bit_precision)
     assert len(report) == len(net)
     n, m, b1, b2 = 4, 4, 2, 2
-    for row in report:
+    # one row per built point; the searched ones are the points prune_net keeps
+    searched = [i for i, row in enumerate(report) if not row["pruned"]]
+    assert searched == prune_net(net, inst.bipartite, b1, inst.bit_precision).tolist()
+    assert 0 < len(searched) < len(report)
+    for i in searched:
+        row = report[i]
         assert set(row) == {
-            "net_point_index", "providers", "consumers", "value",
+            "net_point_index", "pruned", "providers", "consumers", "value",
             "std_error", "evaluations_y", "evaluations_x",
         }
         assert len(row["providers"]) == b1 and len(row["consumers"]) == b2
         assert row["evaluations_y"] <= m * b2 + m + 1
         assert row["evaluations_x"] <= n * b1 + n + 1
-    assert sol.net_point_index == max(range(len(report)), key=lambda i: (report[i]["value"], -i))
+    pruned = [row for row in report if row["pruned"]]
+    assert pruned[0] == {
+        "net_point_index": None, "pruned": True, "providers": [], "consumers": [],
+        "value": None, "std_error": None, "evaluations_y": 0, "evaluations_x": 0,
+    }
+    assert sol.net_point_index == max(searched, key=lambda i: (report[i]["value"], -i))
     assert sol.value.samples == FINAL_FACTOR * 60 and sol.value.stream_path == (5, "report")
     assert sol.rank == 1
+
+
+def test_pruned_rows_are_one_shared_record():
+    # the 4x3 rank-2 rung: 559 rows, of which 532 are pruned points; one dict
+    # for all of them keeps a report's memory at one row per searched point
+    inst = gen_rank_r(4, 3, 2, social_edge_count=2, seed=3)
+    _, report = solve(inst, SdgConfig(epsilon=0.8, samples_per_eval=40))
+    pruned = [row for row in report if row["pruned"]]
+    assert (len(report), len(pruned)) == (559, 532)
+    assert len({id(row) for row in pruned}) == 1
+    assert pruned[0]["net_point_index"] is None and pruned[0]["value"] is None
 
 
 def test_solve_reports_a_fresh_unbiased_value():
@@ -421,13 +442,14 @@ def test_samples_sets_the_pool_size_too(monkeypatch):
     inst = gen_rank_r(3, 4, 1, social_edge_count=3, factor_low=0.3, seed=8)
     draws = _recording(monkeypatch)
     sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
-    distinct = len({tuple(row["consumers"]) for row in report})
-    # one consumer pool per net point and one provider pool per consumer set,
-    # all of the given size
+    searched = [row for row in report if not row["pruned"]]
+    distinct = len({tuple(row["consumers"]) for row in searched})
+    # one consumer pool per searched net point and one provider pool per
+    # consumer set, all of the given size
     pools = _pools(draws)
-    assert [path for path in pools if path[1] == "pool"] == [(0, "pool", i) for i in range(len(report))]
+    assert [path for path in pools if path[1] == "pool"] == [(0, "pool", j) for j in range(len(searched))]
     assert [path[1] for path in pools].count("x") == distinct
-    assert len(pools) == len(report) + distinct
+    assert len(pools) == len(searched) + distinct
     assert {samples for _, samples in draws} == {50}
     assert sol.value.samples == FINAL_FACTOR * 50
 
@@ -438,8 +460,10 @@ def test_all_consumers_budget_draws_no_pool(monkeypatch):
     sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
     assert sol.consumers == (0, 1, 2)
     assert all(row["evaluations_y"] == 0 for row in report)
-    # no consumer pool; the one consumer set still gets its provider pool
-    assert draws == [([(0, "x", 0)], 50)]
+    # no consumer pool; the one consumer set still gets its provider pool, at
+    # the first searched point
+    first = next(i for i, row in enumerate(report) if not row["pruned"])
+    assert draws == [([(0, "x", first)], 50)]
 
 
 def test_all_providers_budget_draws_no_provider_pool(monkeypatch):
@@ -447,17 +471,19 @@ def test_all_providers_budget_draws_no_provider_pool(monkeypatch):
     draws = _recording(monkeypatch)
     sol, report = solve(inst, SdgConfig(epsilon=0.7, samples_per_eval=50))
     assert sol.providers == (0, 1, 2)
-    assert all(row["evaluations_x"] == 0 and row["providers"] == [0, 1, 2] for row in report)
-    assert _pools(draws) == [(0, "pool", i) for i in range(len(report))]
+    searched = [row for row in report if not row["pruned"]]
+    assert all(row["evaluations_x"] == 0 and row["providers"] == [0, 1, 2] for row in searched)
+    assert _pools(draws) == [(0, "pool", j) for j in range(len(searched))]
 
 
 def _per_point_consumers(inst, config, samples):
-    """Sorted consumer picks at every net point, each from its own pool and greedy."""
+    """Sorted consumer picks at every searched net point, each from its own pool and greedy."""
     net = build_net(inst.bipartite, numerical_rank(inst.bipartite), config.epsilon, inst.bit_precision)
+    kept = prune_net(net, inst.bipartite, inst.budget_providers, inst.bit_precision)
     m, b2 = inst.n_consumers, inst.budget_consumers
     picks = []
-    for i, s in enumerate(net.points):
-        pool = reverse_reachable_pool(inst, samples, (config.master_seed, "pool"), i, 1)
+    for j, s in enumerate(net.points[kept]):
+        pool = reverse_reachable_pool(inst, samples, (config.master_seed, "pool"), j, 1)
         [chosen], _ = sdg._pool_greedy(sdg._consumer_hits(pool, samples, s), m, samples, b2)
         picks.append(sorted(chosen))
     return picks
@@ -492,10 +518,11 @@ def test_batched_consumer_phase_picks_what_each_point_picks(monkeypatch):
             parts = []
             monkeypatch.setattr(sdg, "_consumer_hits", lambda *args: _recording_hits(consumer_hits(*args), parts))
             _, report = solve(inst, config)
-            assert [row["consumers"] for row in report] == want, (name, size)
+            searched = [row for row in report if not row["pruned"]]
+            assert [row["consumers"] for row in searched] == want, (name, size)
             # the gains went in chunks of 2 rows exactly when asked to
             assert ((0, 2) in parts) == (rows is not None and b2 < 5), (name, size)
-            assert {row["evaluations_y"] for row in report} == {sum(5 - t for t in range(b2)) if b2 < 5 else 0}
+            assert {row["evaluations_y"] for row in searched} == {sum(5 - t for t in range(b2)) if b2 < 5 else 0}
         monkeypatch.undo()
 
 
@@ -555,30 +582,33 @@ def test_provider_phase_runs_once_per_consumer_set(monkeypatch):
     monkeypatch.setattr(sdg, "estimate_sigma", recording_estimate)
     sol, report = solve(inst, SdgConfig(epsilon=0.8, master_seed=seed))
     assert len(report) == 559
+    searched = [k for k, row in enumerate(report) if not row["pruned"]]
     first = {}
-    for k, row in enumerate(report):
-        first.setdefault(tuple(row["consumers"]), k)
-    # one shared record per consumer set
-    assert len(first) == len({id(row) for row in report}) >= 2
-    for k, row in enumerate(report):
+    for k in searched:
+        first.setdefault(tuple(report[k]["consumers"]), k)
+    # one shared record per consumer set, and one for every pruned point
+    assert len(first) + 1 == len({id(row) for row in report}) >= 3
+    for k in searched:
+        row = report[k]
         assert row is report[first[tuple(row["consumers"])]]
         assert row["net_point_index"] <= k
         assert (row["net_point_index"] == k) == (first[tuple(row["consumers"])] == k)
         # b1 = 1 of n = 4 providers: one greedy step over all four
         assert row["evaluations_x"] == 4
-    # the consumer pools of every net point, in order, in batches of the
+    # the consumer pools of every searched point, in order, in batches of the
     # size _pool_batch gives; one provider pool per consumer set, on
     # (seed, "x", i) with i the first point that picked it, drawn after the
     # batch that holds that point's consumer pool
     starts = sorted(first.values())
     consumers = [paths for paths, _ in draws if paths[0][1] == "pool"]
-    size = sdg._pool_batch(inst, sdg._auto_samples(inst, SdgConfig(epsilon=0.8), len(report))[0])
-    assert 1 < size < len(report)
-    assert [len(paths) for paths in consumers] == [min(size, len(report) - k) for k in range(0, len(report), size)]
-    assert [path for paths in consumers for path in paths] == [(seed, "pool", k) for k in range(len(report))]
+    count = len(searched)
+    size = sdg._pool_batch(inst, sdg._auto_samples(inst, SdgConfig(epsilon=0.8), count)[0])
+    assert 1 < size < count
+    assert [len(paths) for paths in consumers] == [min(size, count - j) for j in range(0, count, size)]
+    assert [path for paths in consumers for path in paths] == [(seed, "pool", j) for j in range(count)]
     assert [paths for paths, _ in draws if paths[0][1] == "x"] == [[(seed, "x", k)] for k in starts]
     drawn = _pools(draws)
-    assert all(drawn.index((seed, "x", k)) > drawn.index((seed, "pool", k)) for k in starts)
+    assert all(drawn.index((seed, "x", k)) > drawn.index((seed, "pool", searched.index(k))) for k in starts)
     # the forward estimator scores pairs only: one per consumer set, then the winner
     assert estimates == [(seed, "final", k) for k in starts] + [(seed, "report")]
     assert report[sol.net_point_index]["net_point_index"] == sol.net_point_index
