@@ -14,7 +14,6 @@ from .diffusion import (
     SpreadEstimate,
     default_sample_count,
     estimate_sigma,
-    estimate_sigma_hat,
     exact_rho_bar,
     exact_sigma,
 )
@@ -25,7 +24,6 @@ from .generators import (
     gen_rank_r,
     gen_three_layer,
 )
-from .greedy import greedy_max
 from .instance import (
     AimInstance,
     InstanceFormatError,
@@ -57,7 +55,6 @@ __all__ = [
     "default_sample_count",
     "dump_json",
     "estimate_sigma",
-    "estimate_sigma_hat",
     "exact_rho_bar",
     "exact_sigma",
     "gen_classic_im",
@@ -65,7 +62,6 @@ __all__ = [
     "gen_planted_biclique",
     "gen_rank_r",
     "gen_three_layer",
-    "greedy_max",
     "indicator",
     "initial_activation",
     "net_relaxation",

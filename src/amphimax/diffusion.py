@@ -137,8 +137,10 @@ def _propagate(active, live, src, heads, cuts):
     order (see _edge_arrays), one bit per run, in uint8 rows padded to whole
     64-bit words (see _pack_runs); the loop runs on uint64 views of them, 64
     runs per word. Each round only the newly activated frontier pushes along
-    live edges.
+    live edges; with no edges there is nothing to push.
     """
+    if not src.size:
+        return
     active = active.view(np.uint64)
     live = live.view(np.uint64)
     frontier = active.copy()
@@ -175,8 +177,7 @@ def _batch_spread(instance, init_probs, samples, rng):
         return 0.0, 0.0
     active = _packed_draws(rng, samples, init_probs)
     src, prob, heads, cuts = _edge_arrays(instance)
-    if src.size:
-        _propagate(active, _packed_draws(rng, samples, prob), src, heads, cuts)
+    _propagate(active, _packed_draws(rng, samples, prob), src, heads, cuts)
     totals = np.zeros(samples)
     for part in _chunks(active.shape[0], samples):
         totals += np.unpackbits(active[part], axis=1, count=samples).sum(axis=0)
@@ -243,8 +244,7 @@ def reverse_reachable_pool(instance, samples, key, first, count):
     pool = np.empty((m, _word_bytes(runs)), dtype=np.uint8)
     for part in _chunks(m, runs):
         pool[part] = _pack_runs(np.arange(part.start, part.stop)[:, None] == targets)
-    if src.size:
-        _propagate(pool, live, src, heads, cuts)
+    _propagate(pool, live, src, heads, cuts)
     return pool
 
 
@@ -317,11 +317,10 @@ def _exact_spread(instance, F):
         bits = ((worlds[:, None] >> np.arange(k)) & 1).astype(bool)
         weight = np.where(bits, prob[stoch], 1.0 - prob[stoch]).prod(axis=1)
         active = _pack_runs(np.tile(start, worlds.size))
-        if src.size:
-            live = np.ones((src.size, worlds.size), dtype=bool)
-            live[stoch] = bits.T
-            live = _pack_runs(np.repeat(live, seeds.size, axis=1))
-            _propagate(active, live, src, heads, cuts)
+        live = np.ones((src.size, worlds.size), dtype=bool)
+        live[stoch] = bits.T
+        live = _pack_runs(np.repeat(live, seeds.size, axis=1))
+        _propagate(active, live, src, heads, cuts)
         reach = np.unpackbits(active, axis=1, count=worlds.size * seeds.size)
         logmiss = reach.reshape(m * worlds.size, seeds.size) @ logq
         covered = -np.expm1(logmiss).reshape(m, worlds.size, -1).sum(axis=0)

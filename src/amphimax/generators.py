@@ -108,14 +108,13 @@ def gen_planted_biclique(n_vertices, k, seed=0):
     )
 
 
-def gen_classic_im(social_edges, m, b2, seed=0):
+def gen_classic_im(social_edges, m, b2):
     """Classic cascade seeding as a two-stage instance: one provider, all-ones matrix.
 
     With the provider budget forced to the whole (single-node) provider side,
     every chosen consumer activates outright, so optimizing the consumer set
     is exactly influence maximization on the social graph with budget b2.
     """
-    del seed  # the construction is fully determined by its inputs
     return AimInstance(
         n_providers=1,
         n_consumers=m,
@@ -127,7 +126,7 @@ def gen_classic_im(social_edges, m, b2, seed=0):
     )
 
 
-def gen_three_layer(k, groups, bottom_per_group, middle_per_group=1, seed=0):
+def gen_three_layer(k, groups, bottom_per_group, middle_per_group=1):
     """Layered stress shape: provider groups hit middle consumers at rate 1/k.
 
     Each group has k providers wired to its middle consumers with probability
@@ -136,7 +135,6 @@ def gen_three_layer(k, groups, bottom_per_group, middle_per_group=1, seed=0):
     edges at all. Budgets are one group of providers (k) and one middle pick
     per group (groups).
     """
-    del seed  # the construction is fully determined by its inputs
     if k < 1 or groups < 1 or bottom_per_group < 0 or middle_per_group < 1:
         raise ValueError("layer sizes must be positive (bottom may be zero)")
     n = k * groups
@@ -218,14 +216,13 @@ def gen_from_params(family, params, seed):
     elif family == "classic_im":
         m = params["m"]
         edges = random_digraph(m, params.get("edge_count", 0), stream(seed, "classic_im", m))
-        inst = gen_classic_im(edges, m, params["b2"], seed=seed)
+        inst = gen_classic_im(edges, m, params["b2"])
     else:
         inst = gen_three_layer(
             k=params["k"],
             groups=params["groups"],
             bottom_per_group=params.get("bottom", 1),
             middle_per_group=params.get("middle", 1),
-            seed=seed,
         )
     violations = _scalar_violations(inst)
     if violations:

@@ -102,92 +102,85 @@ def _auto_samples(instance, config, net_size):
     return tuple(counts)
 
 
-def _pool_greedy(hits, count, samples, budget, batch=1):
-    """Plain greedy for m * mean_k[1 - prod_{e in picks} (1 - hit_ek)] on each of `batch` RR pools.
+def _pool_greedy(rows, scale, samples, budget):
+    """Plain greedy for m * mean_k[1 - prod_{e in picks} (1 - hit_ebk)] on each of a batch of RR pools.
 
-    hits(part) returns a slice of the elements as (rows, scale): rows of
-    shape (elements, batch, samples), of any numeric dtype, and scale of
-    shape (elements, batch), with hit chance scale[e, b] * rows[e, b, k] for
-    element e in RR set k of pool b. Each step computes every gain as
-    scale_eb * sum_k rows_ebk * miss_bk, in _chunks of elements, takes the
-    largest in each pool (ties toward the lowest index, as greedy_max) and
-    multiplies that pool's miss by its 1 - hit, read from one table for all
-    pools when one chunk holds every element. Returns (picks, one list per
-    pool; gains computed per pool).
+    scale has shape (elements, batch), and rows(index) returns the rows of
+    the elements `index`, a slice or an index array, as an (elements, batch,
+    samples) array of any numeric dtype: element e hits RR set k of pool b
+    with chance scale[e, b] * rows[e, b, k]. Each step computes every gain
+    as scale_eb * sum_k rows_ebk * miss_bk, reading rows in _chunks of
+    elements, takes the largest in each pool (ties toward the lowest index,
+    as greedy_max) and multiplies that pool's miss by its 1 - hit, reading
+    the rows of the distinct picks once. Returns (picks, one list per pool;
+    gains computed per pool).
     """
-    parts = list(_chunks(count, 8 * batch * samples))
-    table = hits(parts[0]) if len(parts) == 1 else None
+    count, batch = scale.shape
     members = np.arange(batch)
     miss = np.ones((batch, samples))
     picks = np.zeros((batch, budget), dtype=np.intp)
     for step in range(budget):
         gains = np.empty((batch, count))
-        for part in parts:
-            rows, scale = table if table is not None else hits(part)
+        for part in _chunks(count, 8 * batch * samples):
             # each gain is its own sum over k, so elements with equal rows and scales get equal gains
-            gains[:, part] = np.einsum("ebk,bk->be", rows, miss)
-            gains[:, part] *= scale.T
+            gains[:, part] = np.einsum("ebk,bk->be", rows(part), miss)
+        gains *= scale.T
         gains[members[:, None], picks[:, :step]] = -1.0
         picks[:, step] = gains.argmax(axis=1)
-        if step + 1 < budget and table is not None:
-            rows, scale = table
-            miss *= 1.0 - scale[picks[:, step], members, None] * rows[picks[:, step], members]
-        elif step + 1 < budget:
-            for b, e in enumerate(picks[:, step]):
-                rows, scale = hits(slice(e, e + 1))
-                miss[b] *= 1.0 - scale[0, b] * rows[0, b]
+        if step + 1 < budget:
+            distinct, which = np.unique(picks[:, step], return_inverse=True)
+            miss *= 1.0 - scale[picks[:, step], members, None] * rows(distinct)[which, members]
     return picks.tolist(), sum(count - t for t in range(budget))
 
 
-def _consumer_hits(pool, samples, points):
-    """Consumer hits for sigma_hat(s, .) at a (batch, m) stack of net points, one pool each.
+def _consumer_picks(instance, samples, key, first, points):
+    """Consumer greedy for sigma_hat(s, .) at every row s of a (batch, m) stack of net points.
 
-    Pool b holds runs [b * samples, (b + 1) * samples) of every row (see
-    reverse_reachable_pool); u hits its RR set k with chance
-    RR_uk * (1 - exp(-s_bu)), given as the unpacked uint8 RR bits and the
-    scale 1 - exp(-s_bu).
+    Row b runs on RR pool first + b at key. The batch draws its pools in one
+    call (see reverse_reachable_pool), pool first + b holding runs
+    [b * samples, (b + 1) * samples) of every row, and u hits its RR set k
+    with chance RR_uk * (1 - exp(-s_bu)). The uint8 RR bits are unpacked
+    once when one of the greedy's _chunks holds every row, and a chunk at a
+    time at every step otherwise. Returns (picks, one list per point; gains
+    computed per point); b2 = m picks all and draws no pool.
     """
-    points = np.atleast_2d(points)
     batch, m = points.shape
+    b2 = instance.budget_consumers
+    if b2 == m:
+        return [list(range(m))] * batch, 0
+    pool = reverse_reachable_pool(instance, samples, key, first, batch)
+
+    def unpack(index):
+        return np.unpackbits(pool[index], axis=1, count=batch * samples).reshape(-1, batch, samples)
+
+    rows = unpack
+    if next(_chunks(m, 8 * batch * samples)).stop == m:
+        rows = unpack(slice(None)).__getitem__
     scale = net_relaxation(points.ravel(), np.ones(points.size)).reshape(batch, m).T
-
-    def hits(part):
-        bits = np.unpackbits(pool[part], axis=1, count=batch * samples)
-        return bits.reshape(-1, batch, samples), scale[part]
-
-    return hits
+    return _pool_greedy(rows, scale, samples, b2)
 
 
-def _provider_hits(pool, samples, y_set, M):
-    """Provider hits for sigma(., Y) on one pool: i hits RR set k with chance 1 - q_ik, at scale 1.
+def _provider_picks(instance, samples, key, point, y_set):
+    """Provider greedy for sigma(., Y) on RR pool `point` at key: i hits RR set k with chance 1 - q_ik, at scale 1.
 
     q_ik = prod_{u in RR_k and Y} (1 - M_iu); log q sums Y's pool rows in
-    _chunks, so Y is never unpacked whole.
+    _chunks, so Y is never unpacked whole. Returns (picks, gains computed);
+    b1 = n picks all and draws no pool.
     """
+    n, b1, M = instance.n_providers, instance.budget_providers, instance.bipartite
+    if b1 == n:
+        return list(range(n)), 0
+    pool = reverse_reachable_pool(instance, samples, key, point, 1)
     ys = np.asarray(y_set, dtype=np.intp)
     # log 0 clamps to log(tiny): its exp is below 1e-300, far under rounding
     log_keep = np.log(np.maximum(1.0 - M[:, ys], np.finfo(float).tiny))
-    log_q = np.zeros((M.shape[0], samples))
+    log_q = np.zeros((n, samples))
     for part in _chunks(ys.size, 8 * samples):
         bits = np.unpackbits(pool[ys[part]], axis=1, count=samples)
         log_q += log_keep[:, part] @ bits.astype(float)
     hit = -np.expm1(log_q)[:, None]
-    ones = np.ones((M.shape[0], 1))
-    return lambda part: (hit[part], ones[part])
-
-
-def _pool_pick(instance, count, budget, samples, key, points, hits, *args):
-    """Greedy for `budget` of `count` elements on the RR pools of the range `points` at
-    `key` (see reverse_reachable_pool), drawn and searched as one batch with
-    hits(pool, samples, *args).
-
-    Returns (picks, one list per point; gains computed per point); budget =
-    count picks all and draws no pool.
-    """
-    if budget == count:
-        return [list(range(count))] * len(points), 0
-    pool = reverse_reachable_pool(instance, samples, key, points.start, len(points))
-    return _pool_greedy(hits(pool, samples, *args), count, samples, budget, len(points))
+    [picks], evaluations = _pool_greedy(hit.__getitem__, np.ones((n, 1)), samples, b1)
+    return picks, evaluations
 
 
 def _pool_batch(instance, samples):
@@ -233,9 +226,7 @@ def solve(instance, config):
     if basis.rank > MAX_RANK:
         raise ValueError(f"matrix rank {basis.rank} exceeds the supported max {MAX_RANK}")
     net = build_net(instance.bipartite, basis, config.epsilon, instance.bit_precision, config.max_net_points)
-    n, m = instance.n_providers, instance.n_consumers
-    b1, b2 = instance.budget_providers, instance.budget_consumers
-    kept = prune_net(net, instance.bipartite, b1, instance.bit_precision)
+    kept = prune_net(net, instance.bipartite, instance.budget_providers, instance.bit_precision)
     count = len(kept)
     if config.samples_per_eval:
         y_samples = x_samples = config.samples_per_eval
@@ -259,16 +250,11 @@ def solve(instance, config):
     batch = _pool_batch(instance, y_samples)
     for first in range(0, count, batch):
         indices = kept[first : first + batch]
-        y_sets, evaluations_y = _pool_pick(
-            instance, m, b2, y_samples, (seed, "pool"), range(first, first + len(indices)),
-            _consumer_hits, net.points[indices],
-        )
+        y_sets, evaluations_y = _consumer_picks(instance, y_samples, (seed, "pool"), first, net.points[indices])
         for i, y_set in zip(indices.tolist(), y_sets):
             key = tuple(sorted(y_set))
             if key not in rows:
-                [x_set], evaluations_x = _pool_pick(
-                    instance, n, b1, x_samples, (seed, "x"), range(i, i + 1), _provider_hits, key, instance.bipartite
-                )
+                x_set, evaluations_x = _provider_picks(instance, x_samples, (seed, "x"), i, key)
                 final_path = (seed, "final", i)
                 value = estimate_sigma(
                     instance, x_set, key, FINAL_FACTOR * x_samples, stream(*final_path), stream_path=final_path

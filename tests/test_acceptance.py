@@ -233,7 +233,7 @@ def test_criterion_07_classic_im_reduction(capsys):
             roots.append(int(block[0]))
             edges.extend((int(block[0]), int(w), 1.0) for w in block[1:])
             pos += size
-        inst = gen_classic_im(edges, 30, 3, seed=k)
+        inst = gen_classic_im(edges, 30, 3)
         sol, _ = solve(inst, SdgConfig(epsilon=1.0, samples_per_eval=2000, master_seed=k))
         counter = itertools.count()
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -14,9 +15,9 @@ from amphimax.diffusion import (
     exact_sigma,
     reverse_reachable_pool,
 )
-from amphimax.generators import gen_rank_r
+from amphimax.generators import gen_from_params, gen_rank_r
 from amphimax.greedy import greedy_max
-from amphimax.instance import AimInstance, InstanceValidationError
+from amphimax.instance import AimInstance, InstanceValidationError, dump_json
 from amphimax.net import NetSizeError, build_net, prune_net
 from amphimax.instance import numerical_rank
 from amphimax.sdg import FINAL_FACTOR, MAX_RANK, SdgConfig, approximation_ratio, brute_force_opt, solve
@@ -275,9 +276,33 @@ def _provider_oracle(pool, samples, Y, M):
     return oracle
 
 
-def test_pool_greedy_matches_greedy_max_on_the_same_pool():
+def _recording_greedy(monkeypatch):
+    """Record every _pool_greedy call as (rows, scale, parts): parts lists every index the greedy read.
+
+    A slice is recorded as the tuple (start, stop) and an index array as the list of its indices.
+    """
+    calls = []
+    greedy = sdg._pool_greedy
+
+    def recording(rows, scale, samples, budget):
+        parts = []
+        calls.append((rows, scale, parts))
+
+        def recorded(index):
+            parts.append((index.start, index.stop) if isinstance(index, slice) else index.tolist())
+            return rows(index)
+
+        return greedy(recorded, scale, samples, budget)
+
+    monkeypatch.setattr(sdg, "_pool_greedy", recording)
+    return calls
+
+
+def test_pool_greedy_matches_greedy_max_on_the_same_pool(monkeypatch):
+    calls = _recording_greedy(monkeypatch)
     for k in range(12):
-        inst = gen_rank_r(2, 9, 1, social_edge_count=6 + k, seed=40 + k)
+        budget = 1 + k % 8  # greedy_max returns the whole ground set at 9
+        inst = gen_rank_r(2, 9, 1, social_edge_count=6 + k, seed=40 + k, budget_consumers=budget)
         pick = np.random.default_rng([k, 3])
         s = 0.05 + pick.random(9)
         # ties: two zero coordinates, and a copy of consumer 1's RR row and
@@ -287,12 +312,12 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool():
         samples = 64 * (k + 1) + k
         pool = reverse_reachable_pool(inst, samples, (k, "greedy-check"), k, 1)
         pool[6] = pool[1]
-        budget = 1 + k % 8  # greedy_max returns the whole ground set at 9
-        hits = sdg._consumer_hits(pool, samples, s)
-        rows, scale = hits(slice(None))
-        assert rows.dtype == np.uint8 and np.array_equal(rows[:, 0], np.unpackbits(pool, axis=1, count=samples))
+        monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
+        [picks], evaluations = sdg._consumer_picks(inst, samples, (k, "greedy-check"), k, s[None])
+        rows, scale, _ = calls[-1]
+        assert rows(slice(None)).dtype == np.uint8
+        assert np.array_equal(rows(slice(None))[:, 0], np.unpackbits(pool, axis=1, count=samples))
         assert np.array_equal(scale[:, 0], -np.expm1(-s))
-        [picks], evaluations = sdg._pool_greedy(hits, 9, samples, budget)
         want, _ = greedy_max(_consumer_oracle(pool, samples, s), range(9), budget)
         assert picks == want
         assert evaluations == sum(9 - t for t in range(budget)) <= 9 * budget + 9 + 1
@@ -307,63 +332,56 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool():
         if k % 2:
             M[8] = M[0]
         M[5, k % 7] = 1.0
-        inst = make_instance(M, base.social_edges, lam=base.bit_precision)
+        inst = make_instance(M, base.social_edges, b1=budget, lam=base.bit_precision)
         Y = tuple(sorted(np.random.default_rng([k, 4]).choice(7, 1 + k % 5, replace=False).tolist()))
         pool = reverse_reachable_pool(inst, samples, (k, "provider-check"), k, 1)
-        hits = sdg._provider_hits(pool, samples, Y, M)
-        [picks], evaluations = sdg._pool_greedy(hits, 9, samples, budget)
+        monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
+        picks, evaluations = sdg._provider_picks(inst, samples, (k, "provider-check"), k, Y)
         want, _ = greedy_max(_provider_oracle(pool, samples, Y, M), range(9), budget)
         assert picks == want, k
         assert evaluations == sum(9 - t for t in range(budget))
-        rows, scale = hits(slice(None))
-        assert np.allclose(rows[:, 0], 1.0 - _pool_keep(pool, samples, Y, M), rtol=0.0, atol=1e-12)
+        rows, scale, _ = calls[-1]
+        assert np.allclose(rows(slice(None))[:, 0], 1.0 - _pool_keep(pool, samples, Y, M), rtol=0.0, atol=1e-12)
         assert np.array_equal(scale, np.ones((9, 1)))
 
 
-def _recording_hits(hits, parts):
-    """hits, appending the (start, stop) of every slice it is asked for to `parts`."""
-
-    def recording(part):
-        parts.append((part.start, part.stop))
-        return hits(part)
-
-    return recording
-
-
 def test_pool_greedy_gains_in_row_chunks(monkeypatch):
-    inst = gen_rank_r(9, 9, 1, social_edge_count=12, seed=4)
+    inst = gen_rank_r(9, 9, 1, social_edge_count=12, seed=4, budget_providers=4, budget_consumers=4)
     s = np.linspace(0.1, 1.7, 9)
     Y = (0, 2, 3, 5, 8)
     pool = reverse_reachable_pool(inst, 500, (0, "chunks"), 0, 1)
-    consumer_hits = sdg._consumer_hits(pool, 500, s)
-    provider_hits = sdg._provider_hits(pool, 500, Y, inst.bipartite)
-    consumers = sdg._pool_greedy(consumer_hits, 9, 500, 4)
-    providers = sdg._pool_greedy(provider_hits, 9, 500, 4)
+    monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
+    calls = _recording_greedy(monkeypatch)
+
+    def phases():
+        return sdg._consumer_picks(inst, 500, (0, "pool"), 0, s[None]), sdg._provider_picks(inst, 500, (0, "x"), 0, Y)
+
+    whole = phases()
     # 2 rows of 500 floats per chunk, in the gains and in the sum over Y
     monkeypatch.setattr(diffusion, "DRAW_BUDGET", 2 * 8 * 500)
-    chunked_hits = sdg._provider_hits(pool, 500, Y, inst.bipartite)
-    (chunked, ones), (whole, _) = chunked_hits(slice(None)), provider_hits(slice(None))
-    assert np.allclose(chunked, whole, rtol=0.0, atol=1e-12) and np.array_equal(ones, np.ones((9, 1)))
-    for hits, want in ((consumer_hits, consumers), (chunked_hits, providers)):
-        parts = []
-        assert sdg._pool_greedy(_recording_hits(hits, parts), 9, 500, 4) == want
+    assert phases() == whole
+    (chunked, ones, _), (whole_hits, _, _) = calls[3], calls[1]
+    assert np.allclose(chunked(slice(None)), whole_hits(slice(None)), rtol=0.0, atol=1e-12)
+    assert np.array_equal(ones, np.ones((9, 1)))
+    ([consumers], _), (providers, _) = whole
+    for (_, _, parts), picks in zip(calls[2:], (consumers, providers)):
         # every step reads its gains in chunks of 2 rows, and every step but
         # the last reads the hits of its pick alone
-        [picks], _ = want
         gains = [(start, min(start + 2, 9)) for start in range(0, 9, 2)]
-        assert parts == [part for pick in picks[:3] for part in gains + [(pick, pick + 1)]] + gains
+        assert parts == [part for pick in picks[:3] for part in gains + [[pick]]] + gains
 
 
-def test_pool_estimate_of_sigma_matches_exact_sigma():
+def test_pool_estimate_of_sigma_matches_exact_sigma(monkeypatch):
     # sigma(X, Y) = m * E_k[1 - prod over i in X of q_ik] on a pool
     samples = 4000
+    calls = _recording_greedy(monkeypatch)
     for k in range(6):
         inst = gen_rank_r(5, 6, 2, social_edge_count=4 + k, seed=30 + k)
         pick = np.random.default_rng([k, 6])
         X = tuple(pick.choice(5, 1 + k % 3, replace=False).tolist())
         Y = tuple(sorted(pick.choice(6, 2 + k % 3, replace=False).tolist()))
-        pool = reverse_reachable_pool(inst, samples, (k, "sigma-check"), 0, 1)
-        hits = sdg._provider_hits(pool, samples, Y, inst.bipartite)(slice(None))[0][:, 0]
+        sdg._provider_picks(inst, samples, (k, "sigma-check"), 0, Y)
+        hits = calls[-1][0](slice(None))[:, 0]
         values = 6.0 * (1.0 - np.prod(1.0 - hits[list(X)], axis=0))
         se = values.std(ddof=1) / math.sqrt(samples)
         want = exact_sigma(inst, X, Y)
@@ -374,14 +392,14 @@ def test_pool_estimate_of_sigma_matches_exact_sigma():
 def test_provider_phase_memory_is_bounded(monkeypatch):
     # 1,000 consumer rows of 20,000 runs, unpacked whole as floats, would
     # take 160 MB; the pool itself, drawn beforehand, is 7.2 MiB
-    inst = gen_rank_r(20, 3000, 2, social_edge_count=2000, seed=3)
+    inst = gen_rank_r(20, 3000, 2, social_edge_count=2000, seed=3, budget_providers=6)
     samples = 20_000
     pool = reverse_reachable_pool(inst, samples, (0, "big-provider-pool"), 0, 1)
     monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
     Y = tuple(range(0, 3000, 3))
     tracemalloc.start()
     try:
-        [picks], _ = sdg._pool_pick(inst, 20, 6, samples, (0, "x"), range(1), sdg._provider_hits, Y, inst.bipartite)
+        picks, _ = sdg._provider_picks(inst, samples, (0, "x"), 0, Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -480,11 +498,9 @@ def _per_point_consumers(inst, config, samples):
     """Sorted consumer picks at every searched net point, each from its own pool and greedy."""
     net = build_net(inst.bipartite, numerical_rank(inst.bipartite), config.epsilon, inst.bit_precision)
     kept = prune_net(net, inst.bipartite, inst.budget_providers, inst.bit_precision)
-    m, b2 = inst.n_consumers, inst.budget_consumers
     picks = []
     for j, s in enumerate(net.points[kept]):
-        pool = reverse_reachable_pool(inst, samples, (config.master_seed, "pool"), j, 1)
-        [chosen], _ = sdg._pool_greedy(sdg._consumer_hits(pool, samples, s), m, samples, b2)
+        [chosen], _ = sdg._consumer_picks(inst, samples, (config.master_seed, "pool"), j, s[None])
         picks.append(sorted(chosen))
     return picks
 
@@ -498,11 +514,11 @@ def test_batched_consumer_phase_picks_what_each_point_picks(monkeypatch):
         "b2 > 1": (base.social_edges, 3),
         "b2 = m": (base.social_edges, 5),
     }
-    consumer_hits = sdg._consumer_hits
     for name, (edges, b2) in cases.items():
         inst = make_instance(base.bipartite, edges, b2=b2, lam=base.bit_precision)
         config = SdgConfig(epsilon=0.6, samples_per_eval=100, master_seed=len(name))
         want = _per_point_consumers(inst, config, 100)
+        calls = _recording_greedy(monkeypatch)
         # the smallest budget that gives each batch size
         budgets = {}
         for k in range(41):
@@ -515,11 +531,12 @@ def test_batched_consumer_phase_picks_what_each_point_picks(monkeypatch):
         for size, rows in ((1, None), (inside, None), (max(budgets), None), (inside, 2)):
             monkeypatch.setattr(sdg, "POOL_BUDGET", budgets[size])
             monkeypatch.setattr(diffusion, "DRAW_BUDGET", rows * 8 * size * 100 if rows else DRAW_BUDGET)
-            parts = []
-            monkeypatch.setattr(sdg, "_consumer_hits", lambda *args: _recording_hits(consumer_hits(*args), parts))
+            calls.clear()
             _, report = solve(inst, config)
             searched = [row for row in report if not row["pruned"]]
             assert [row["consumers"] for row in searched] == want, (name, size)
+            # the consumer greedy runs over 5 consumer rows, the provider greedy over 4 providers
+            parts = [part for _, scale, reads in calls if scale.shape[0] == 5 for part in reads]
             # the gains went in chunks of 2 rows exactly when asked to
             assert ((0, 2) in parts) == (rows is not None and b2 < 5), (name, size)
             assert {row["evaluations_y"] for row in searched} == {sum(5 - t for t in range(b2)) if b2 < 5 else 0}
@@ -552,7 +569,7 @@ def test_one_batch_of_pools_stays_in_the_pool_budget(m, edges, samples):
     diffusion._reversed_edges(inst)  # cached arrays are not the batch's
     tracemalloc.start()
     try:
-        picks, _ = sdg._pool_pick(inst, m, 2, samples, (0, "pool"), range(batch), sdg._consumer_hits, points)
+        picks, _ = sdg._consumer_picks(inst, samples, (0, "pool"), 0, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -623,3 +640,51 @@ def test_solve_returns_the_optimum_on_small_rungs(n, m, r, edges, epsilon):
     for seed in range(10):
         sol, _ = solve(inst, SdgConfig(epsilon=epsilon, master_seed=seed))
         assert abs(exact_sigma(inst, sol.providers, sol.consumers) - opt) < 1e-12, seed
+
+
+# SHA-256 of dump_json over a solve's sets, value, net point and report, by
+# (instance, master seed); the same bytes whatever size the chunks have
+GOLDEN_INSTANCES = {
+    "4x3r1": (lambda: gen_rank_r(4, 3, 1, social_edge_count=2, seed=3), 0.5),
+    "4x3r2": (lambda: gen_rank_r(4, 3, 2, social_edge_count=2, seed=3), 0.8),
+    "6x5r1": (lambda: gen_rank_r(6, 5, 1, social_edge_count=6, seed=3), 0.6),
+    "classic_im": (lambda: gen_from_params("classic_im", {"m": 50, "edge_count": 150, "b2": 3}, 3)[0], 1.0),
+    "10x8r2": (lambda: gen_rank_r(10, 8, 2, social_edge_count=10, seed=3), 0.7),
+    "9x12r2b4": (lambda: gen_rank_r(9, 12, 2, social_edge_count=20, seed=5, budget_consumers=4), 0.6),
+}
+GOLDEN_DIGESTS = {
+    ("4x3r1", 0): "71f2728fe4e844ba39c57ad4ca4bd3a377ef128e131f69e7804629d976f768ca",
+    ("4x3r1", 1): "438f345d301b46fdf0ef565ef75d6ed4a369beb4c12472e50c2850cda25c3a52",
+    ("4x3r2", 0): "df273b075867d3382dabdfe7103259bbb25296f8aa972728f11328151a6888fe",
+    ("4x3r2", 1): "69cd883fb7f25ee680db35a204015746e37f9627c0d4d6456aa66c7f5b95e739",
+    ("6x5r1", 0): "836ecf0f0c2f8d7939a8eae3adb9ac2e36f50ca38904ebb30c5b5bc4e973e336",
+    ("6x5r1", 1): "f395b0734c4fdddaf492f0272f991a00fd4741da1a73ea450a8ea249ce6f2bfe",
+    ("classic_im", 0): "eefbcf9ebab3efa6b05cb06aa867c1631de56d00d574c20cc72c5706384a04d1",
+    ("classic_im", 1): "52d95eeb00ca8f7a0bd2a69a263a03332008b860cf6f86e0267cf323885d2495",
+    ("10x8r2", 0): "a5dd3597c60e3e50032c74d5f35904d2a59f0efe802574d728e7b9f74cb5abab",
+    ("10x8r2", 1): "a95dc37d883a7ef68c8bc766c838a5d356f245d5108cc33a74675c0d45173458",
+    ("9x12r2b4", 0): "4fc4a292ad14e0d242bae1248a3cdef90cce6d4435a64e88f04c86bf549be47f",
+    ("9x12r2b4", 1): "88bec7d67868c484207d751fff6840cf2f740fbb4c5a6de183926ccb9e95f53c",
+}
+
+
+@pytest.mark.parametrize("draw_budget", [DRAW_BUDGET, 8 * 1024])
+@pytest.mark.parametrize("name, seed", sorted(GOLDEN_DIGESTS))
+def test_solve_writes_the_golden_bytes(monkeypatch, name, seed, draw_budget):
+    # 8 KiB holds less than one float row of the 1,060 runs an auto-sized
+    # pool has at the least, so every greedy reads its gains a row at a time
+    make, epsilon = GOLDEN_INSTANCES[name]
+    monkeypatch.setattr(diffusion, "DRAW_BUDGET", draw_budget)
+    calls = _recording_greedy(monkeypatch)
+    sol, report = solve(make(), SdgConfig(epsilon=epsilon, master_seed=seed))
+    v = sol.value
+    doc = {
+        "providers": sol.providers,
+        "consumers": sol.consumers,
+        "value": [v.mean, v.std_error, v.samples, v.stream_path],
+        "net_point_index": sol.net_point_index,
+        "report": report,
+    }
+    assert hashlib.sha256(dump_json(doc).encode()).hexdigest() == GOLDEN_DIGESTS[name, seed]
+    widths = {part[1] - part[0] for _, _, parts in calls for part in parts if isinstance(part, tuple)}
+    assert calls and (widths == {1}) == (draw_budget < DRAW_BUDGET)
