@@ -1,7 +1,6 @@
 """Deterministic named random streams."""
 
 import hashlib
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,22 +29,20 @@ def stream(master_seed, *path):
     return np.random.Generator(_philox(master_seed, *path))
 
 
-@lru_cache(maxsize=64)
-def _reader(address):
-    """A Philox for window_words at `address` and its fresh state, which every read sets whole."""
-    bits = _philox(*address)
-    return bits, bits.state
-
-
-def window_words(address, start, count):
-    """Raw 64-bit words [start, start + count) of stream(*address).bit_generator.
+def window_reader(address):
+    """read(start, count): raw 64-bit words [start, start + count) of stream(*address).bit_generator.
 
     Philox is counter-based (Salmon et al., SC 2011): word w of its sequence
     is word w % 4 of the block at counter w // 4 + 1, so a read sets the
-    counter to start // 4 and skips start % 4 words, whatever was read
-    before at that address or any other.
+    reader's one Philox to its fresh state at counter start // 4 and skips
+    start % 4 words, whatever was read before.
     """
-    bits, state = _reader(tuple(address))
-    state["state"]["counter"] = np.array([start // 4, 0, 0, 0], dtype=np.uint64)
-    bits.state = state
-    return bits.random_raw(start % 4 + count)[start % 4 :]
+    bits = _philox(*address)
+    state = bits.state
+
+    def read(start, count):
+        state["state"]["counter"] = np.array([start // 4, 0, 0, 0], dtype=np.uint64)
+        bits.state = state
+        return bits.random_raw(start % 4 + count)[start % 4 :]
+
+    return read

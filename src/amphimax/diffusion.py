@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._rng import stream, window_words
+from ._rng import stream, window_reader
 from .relaxation import indicator, initial_activation, net_relaxation
 
 EXACT_EDGE_LIMIT = 22
@@ -60,14 +60,8 @@ def _edge_arrays(instance):
     return src[order].astype(np.intp), prob[order], heads, cuts
 
 
-@lru_cache(maxsize=256)
 def _reversed_edges(instance):
-    """Social edges reversed, in the layout of _edge_arrays.
-
-    Edge u -> v becomes v -> u, so `src` holds original targets and `heads`
-    the original sources. Cached apart from _edge_arrays: only
-    reverse_reachable_pool needs it.
-    """
+    """Social edges reversed, u -> v to v -> u, in the layout of _edge_arrays: `src` holds targets, `heads` sources."""
     src, prob, heads, cuts = _edge_arrays(instance)
     dst = np.repeat(heads, np.diff(np.append(cuts, src.size)))
     by_src = np.argsort(src, kind="stable")
@@ -95,34 +89,37 @@ def _pack_runs(bits):
     return out
 
 
-def _bernoulli_rows(probs, runs):
-    """Packed rows of `runs` Bernoulli(p) runs for p = probs[k], before any draw.
+def _bernoulli_rows(probs):
+    """(drawn, thresholds): the Bernoulli(p) rows with 0 < p < 1, p = probs[k], and floor(p * 2**32) of each.
 
-    Returns (out, drawn, thresholds): out has the rows with p >= 1 set and
-    all others clear, drawn indexes the rows with 0 < p < 1 that still draw,
-    and run j of drawn row k fires when its 32-bit half is below
-    thresholds[k] = floor(p * 2**32): p is rounded down to a multiple of
-    2**-32, so a p below 2**-32 never fires.
+    Run j of drawn row k fires when its 32-bit half is below thresholds[k]:
+    p is rounded down to a multiple of 2**-32, so a p below 2**-32 never fires.
     """
-    out = np.zeros((probs.size, _word_bytes(runs)), dtype=np.uint8)
-    out[probs >= 1.0] = _pack_runs(np.ones((1, runs), dtype=bool))
     drawn = np.flatnonzero((probs > 0.0) & (probs < 1.0))
     # exact for p in (0, 1): scaling by 2**32 is exact and the cast truncates
-    return out, drawn, (probs[drawn] * 2.0**32).astype(np.uint32)
+    return drawn, (probs[drawn] * 2.0**32).astype(np.uint32)
+
+
+def _fixed_rows(probs, runs):
+    """Packed rows of `runs` runs before any draw: the rows with p >= 1 set, all others clear."""
+    out = np.zeros((probs.size, _word_bytes(runs)), dtype=np.uint8)
+    out[probs >= 1.0] = _pack_runs(np.ones((1, runs), dtype=bool))
+    return out
 
 
 def _packed_draws(rng, samples, probs):
     """Bernoulli(p) bits for `samples` runs, packed 8 runs per byte, 64 per word.
 
     Row k of the result holds the runs of p = probs[k], packed as by
-    _pack_runs and set up by _bernoulli_rows. Every drawn row, in row order,
-    takes ceil(samples/2) raw 64-bit words of rng.bit_generator, split into
-    32-bit halves in memory order, run j reading half j. Rows go in _chunks
-    of their raw words, and a chunk's fired bits take one byte per run; the
-    bits do not depend on the chunk size, and consecutive calls continue
-    the generator's stream.
+    _pack_runs, set up by _fixed_rows and drawn as _bernoulli_rows says.
+    Every drawn row, in row order, takes ceil(samples/2) raw 64-bit words
+    of rng.bit_generator, split into 32-bit halves in memory order, run j
+    reading half j. Rows go in _chunks of their raw words, and a chunk's
+    fired bits take one byte per run; the bits do not depend on the chunk
+    size, and consecutive calls continue the generator's stream.
     """
-    out, drawn, thresholds = _bernoulli_rows(probs, samples)
+    out = _fixed_rows(probs, samples)
+    drawn, thresholds = _bernoulli_rows(probs)
     words = (samples + 1) // 2
     for part in _chunks(drawn.size, 8 * words):
         halves = rng.bit_generator.random_raw((part.stop - part.start) * words).view(np.uint32)
@@ -187,65 +184,71 @@ def _batch_spread(instance, init_probs, samples, rng):
 
 
 def _window(instance, samples):
-    """Raw words per RR pool window of `samples` runs: ceil(samples/2) for the
-    targets and for each social edge with 0 < p < 1, in whole 4-word blocks."""
+    """Raw words per RR pool window: ceil(samples/2) for the targets and each edge with 0 < p < 1, in 4-word blocks."""
     prob = _edge_arrays(instance)[1]
     drawn = np.count_nonzero((prob > 0.0) & (prob < 1.0))
     return 4 * -(-((samples + 1) // 2) * (1 + drawn) // 4)
 
 
-def reverse_reachable_pool(instance, samples, key, first, count):
-    """Packed reverse-reachable (RR) sets: pools first, ..., first + count - 1 of `samples` runs each.
+def rr_sampler(instance, samples, key):
+    """draw(first, count): packed reverse-reachable (RR) sets, pools first to first + count - 1 of `samples` runs each.
 
     Run k picks a uniform target consumer, flips every social edge once, and
     collects the consumers that reach the target over live edges (Borgs et
-    al., SODA 2014). Pool i reads the fixed window [i * L, (i + 1) * L) of
-    the raw words of stream(*key) (see window_words and _window), split into
-    32-bit halves in memory order: the first ceil(samples/2) words give
-    target k as (half_k * m) >> 32, within 2**-32 of 1/m for every consumer,
-    and each edge with 0 < p < 1, in the order of _reversed_edges (by
-    original source, then target), takes the next ceil(samples/2) words,
-    run k live when half k is below floor(p * 2**32), as in _packed_draws.
-    Edges with p <= 0 stay blocked and p >= 1 live, drawing nothing. The
-    pools share one run axis: pool first + b holds runs [b * samples,
-    (b + 1) * samples) of every row, and all of them go through one
-    _propagate on the reversed edges, seeded one-hot at the targets. Rows
-    go in _chunks of their raw words for the whole batch, one read per pool
-    and chunk, or one read for the batch when one chunk holds every row.
-    Bit b * samples + k in row u of the (m, W) uint8 result, packed as by
-    _pack_runs, is set when u is in RR set k of pool first + b; a pool's
-    bits depend on neither the batch nor the chunk size. Seeding each
-    consumer u independently with probability p_u then spreads to
-    m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in expectation.
+    al., SODA 2014). The sampler sets up once the reversed edges, the window
+    length L (see _window), the drawn rows with their thresholds and one
+    window_reader at key. Pool i reads the fixed window [i * L, (i + 1) * L)
+    of the raw words of stream(*key), split into 32-bit halves in memory
+    order: the first ceil(samples/2) words give target k as
+    (half_k * m) >> 32, within 2**-32 of 1/m for every consumer, and each
+    edge with 0 < p < 1, in the order of _reversed_edges (by original
+    source, then target), takes the next ceil(samples/2) words, run k live
+    when half k is below floor(p * 2**32), as in _packed_draws. Edges with
+    p <= 0 stay blocked and p >= 1 live, drawing nothing. The pools share
+    one run axis: bit b * samples + k of row u in the (m, W) uint8 result,
+    packed as by _pack_runs, is set when u is in RR set k of pool first + b,
+    and all of them go through one _propagate on the reversed edges, seeded
+    one-hot at the targets. Rows go in _chunks of their raw words for the
+    whole batch, one read per pool and chunk, or one read for the batch when
+    one chunk holds every row; a pool's bits depend on neither the batch nor
+    the chunk size. Seeding each consumer u independently with probability
+    p_u then spreads to m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in expectation.
     """
     m = instance.n_consumers
     src, prob, heads, cuts = _reversed_edges(instance)
-    runs, words = count * samples, (samples + 1) // 2
-    live, drawn, thresholds = _bernoulli_rows(prob, runs)
+    words = (samples + 1) // 2
+    drawn, thresholds = _bernoulli_rows(prob)
     window = _window(instance, samples)
-    # row 0 of every window holds the targets, row 1 + r the drawn edge r
-    for part in _chunks(1 + drawn.size, 8 * words * count):
-        rows = part.stop - part.start
-        if rows == 1 + drawn.size:
-            raw = window_words(key, first * window, count * window).reshape(count, window)[:, : rows * words]
-        else:
-            starts = range(first * window + part.start * words, (first + count) * window, window)
-            raw = np.stack([window_words(key, start, rows * words) for start in starts])
-        # [r, b, k]: half k of row part.start + r in the window of pool first + b
-        halves = raw.reshape(count, rows, words).view(np.uint32)[:, :, :samples].transpose(1, 0, 2)
-        if part.start == 0:
-            targets = (np.multiply(halves[0], m, dtype=np.uint64) >> 32).view(np.intp).ravel()
-            halves = halves[1:]
-        cut = slice(max(part.start, 1) - 1, part.stop - 1)
-        fired = np.empty((halves.shape[0], runs), dtype=bool)
-        np.less(halves, thresholds[cut, None, None], out=fired.reshape(-1, count, samples))
-        live[drawn[cut]] = _pack_runs(fired)
-        del raw, halves  # free these words before the next chunk reads its own
-    pool = np.empty((m, _word_bytes(runs)), dtype=np.uint8)
-    for part in _chunks(m, runs):
-        pool[part] = _pack_runs(np.arange(part.start, part.stop)[:, None] == targets)
-    _propagate(pool, live, src, heads, cuts)
-    return pool
+    read = window_reader(key)
+
+    def draw(first, count):
+        runs = count * samples
+        live = _fixed_rows(prob, runs)
+        # row 0 of every window holds the targets, row 1 + r the drawn edge r
+        for part in _chunks(1 + drawn.size, 8 * words * count):
+            rows = part.stop - part.start
+            if rows == 1 + drawn.size:
+                raw = read(first * window, count * window).reshape(count, window)[:, : rows * words]
+            else:
+                starts = range(first * window + part.start * words, (first + count) * window, window)
+                raw = np.stack([read(start, rows * words) for start in starts])
+            # [r, b, k]: half k of row part.start + r in the window of pool first + b
+            halves = raw.reshape(count, rows, words).view(np.uint32)[:, :, :samples].transpose(1, 0, 2)
+            if part.start == 0:
+                targets = (np.multiply(halves[0], m, dtype=np.uint64) >> 32).view(np.intp).ravel()
+                halves = halves[1:]
+            cut = slice(max(part.start, 1) - 1, part.stop - 1)
+            fired = np.empty((halves.shape[0], runs), dtype=bool)
+            np.less(halves, thresholds[cut, None, None], out=fired.reshape(-1, count, samples))
+            live[drawn[cut]] = _pack_runs(fired)
+            del raw, halves  # free these words before the next chunk reads its own
+        pool = np.empty((m, _word_bytes(runs)), dtype=np.uint8)
+        for part in _chunks(m, runs):
+            pool[part] = _pack_runs(np.arange(part.start, part.stop)[:, None] == targets)
+        _propagate(pool, live, src, heads, cuts)
+        return pool
+
+    return draw
 
 
 def _sample_count(samples):

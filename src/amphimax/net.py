@@ -31,7 +31,6 @@ class EpsilonNet:
 
     points: np.ndarray
     epsilon: float
-    rank: int
     grid_size: int
 
     def __post_init__(self):
@@ -157,7 +156,7 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
         )
     r = basis.rank
     if r == 0:
-        return EpsilonNet(points=np.zeros((1, m)), epsilon=epsilon, rank=0, grid_size=size)
+        return EpsilonNet(points=np.zeros((1, m)), epsilon=epsilon, grid_size=size)
     # each tuple pins its r coordinates to all grid^r assignments; counting
     # stops at the tuple that takes the candidates past the cap, before any exist
     per_tuple = size**r
@@ -183,7 +182,7 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
             f"net has {len(points)} points (enumeration bound {math.comb(m, r) * per_tuple}), "
             f"over the cap {max_points}; raise epsilon or the cap (--max-net-points)"
         )
-    return EpsilonNet(points=points, epsilon=epsilon, rank=r, grid_size=size)
+    return EpsilonNet(points=points, epsilon=epsilon, grid_size=size)
 
 
 def covers(points, target, epsilon, zero_tol=DEDUP_TOL, slack=DEDUP_TOL):

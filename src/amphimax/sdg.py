@@ -17,7 +17,7 @@ from .diffusion import (
     estimate_sigma,
     estimate_sigma_hat,  # noqa: F401 -- unused here; the traced benchmark wraps this name
     exact_rho_bar,
-    reverse_reachable_pool,
+    rr_sampler,
 )
 from .greedy import greedy_max  # noqa: F401 -- unused here; the traced benchmark wraps this name
 from .instance import InstanceValidationError, numerical_rank, validate
@@ -133,35 +133,31 @@ def _pool_greedy(rows, scale, samples, budget):
     return picks.tolist(), sum(count - t for t in range(budget))
 
 
-def _consumer_picks(instance, samples, key, first, points):
+def _consumer_picks(instance, samples, draw, first, points):
     """Consumer greedy for sigma_hat(s, .) at every row s of a (batch, m) stack of net points.
 
-    Row b runs on RR pool first + b at key. The batch draws its pools in one
-    call (see reverse_reachable_pool), pool first + b holding runs
+    Row b runs on RR pool first + b of the sampler `draw` (see rr_sampler),
+    which draws the batch's pools in one call, pool first + b holding runs
     [b * samples, (b + 1) * samples) of every row, and u hits its RR set k
-    with chance RR_uk * (1 - exp(-s_bu)). The uint8 RR bits are unpacked
-    once when one of the greedy's _chunks holds every row, and a chunk at a
-    time at every step otherwise. Returns (picks, one list per point; gains
-    computed per point); b2 = m picks all and draws no pool.
+    with chance RR_uk * (1 - exp(-s_bu)). The greedy unpacks the uint8 RR
+    bits of the rows it reads, a chunk at a time. Returns (picks, one list
+    per point; gains computed per point); b2 = m picks all and draws no pool.
     """
     batch, m = points.shape
     b2 = instance.budget_consumers
     if b2 == m:
         return [list(range(m))] * batch, 0
-    pool = reverse_reachable_pool(instance, samples, key, first, batch)
+    pool = draw(first, batch)
 
-    def unpack(index):
+    def rows(index):
         return np.unpackbits(pool[index], axis=1, count=batch * samples).reshape(-1, batch, samples)
 
-    rows = unpack
-    if next(_chunks(m, 8 * batch * samples)).stop == m:
-        rows = unpack(slice(None)).__getitem__
     scale = net_relaxation(points.ravel(), np.ones(points.size)).reshape(batch, m).T
     return _pool_greedy(rows, scale, samples, b2)
 
 
-def _provider_picks(instance, samples, key, point, y_set):
-    """Provider greedy for sigma(., Y) on RR pool `point` at key: i hits RR set k with chance 1 - q_ik, at scale 1.
+def _provider_picks(instance, samples, draw, point, y_set):
+    """Provider greedy for sigma(., Y) on RR pool `point` of `draw`: i hits RR set k with chance 1 - q_ik, at scale 1.
 
     q_ik = prod_{u in RR_k and Y} (1 - M_iu); log q sums Y's pool rows in
     _chunks, so Y is never unpacked whole. Returns (picks, gains computed);
@@ -170,7 +166,7 @@ def _provider_picks(instance, samples, key, point, y_set):
     n, b1, M = instance.n_providers, instance.budget_providers, instance.bipartite
     if b1 == n:
         return list(range(n)), 0
-    pool = reverse_reachable_pool(instance, samples, key, point, 1)
+    pool = draw(point, 1)
     ys = np.asarray(y_set, dtype=np.intp)
     # log 0 clamps to log(tiny): its exp is below 1e-300, far under rounding
     log_keep = np.log(np.maximum(1.0 - M[:, ys], np.finfo(float).tiny))
@@ -201,15 +197,16 @@ def solve(instance, config):
 
     Builds the one-sided net and searches only the points prune_net keeps,
     the ones that can bracket the image of a budget-sized provider set: the
-    guarantee rests on one such point. At the j-th kept point i a greedy
-    picks consumers for the surrogate on RR pool j at key (seed, "pool"),
-    the j-th window of that stream (see reverse_reachable_pool). The points
-    go in batches of _pool_batch: a batch draws its pools in one call and
-    runs one greedy over all of them, and each point still picks what it
-    would pick alone. The provider phase depends on the consumer set alone,
-    so it runs once per distinct set, at the first point i that picks it: a
-    greedy for the real objective on RR pool i at key (seed, "x"), then a
-    forward estimate of the pair on stream(seed, "final", i).
+    guarantee rests on one such point. It builds two RR samplers (see
+    rr_sampler), at keys (seed, "pool") and (seed, "x"). At the j-th kept
+    point i a greedy picks consumers for the surrogate on pool j at (seed,
+    "pool"), the j-th window of that stream. The points go in batches of
+    _pool_batch: a batch draws its pools in one call and runs one greedy
+    over all of them, and each point still picks what it would pick alone.
+    The provider phase depends on the consumer set alone, so it runs once
+    per distinct set, at the first point i that picks it: a greedy for the
+    real objective on pool i at (seed, "x"), then a forward estimate of the
+    pair on stream(seed, "final", i).
 
     The report has one row per built net point. Rows of points that picked
     the same consumer set are one shared dict, whose net_point_index names
@@ -247,14 +244,15 @@ def solve(instance, config):
     report = [pruned] * len(net)
     rows = {}
     best = None
+    y_draw, x_draw = rr_sampler(instance, y_samples, (seed, "pool")), rr_sampler(instance, x_samples, (seed, "x"))
     batch = _pool_batch(instance, y_samples)
     for first in range(0, count, batch):
         indices = kept[first : first + batch]
-        y_sets, evaluations_y = _consumer_picks(instance, y_samples, (seed, "pool"), first, net.points[indices])
+        y_sets, evaluations_y = _consumer_picks(instance, y_samples, y_draw, first, net.points[indices])
         for i, y_set in zip(indices.tolist(), y_sets):
             key = tuple(sorted(y_set))
             if key not in rows:
-                x_set, evaluations_x = _provider_picks(instance, x_samples, (seed, "x"), i, key)
+                x_set, evaluations_x = _provider_picks(instance, x_samples, x_draw, i, key)
                 final_path = (seed, "final", i)
                 value = estimate_sigma(
                     instance, x_set, key, FINAL_FACTOR * x_samples, stream(*final_path), stream_path=final_path

@@ -8,9 +8,11 @@ doubles as a scorecard for the solver's contract.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +332,10 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
         "solve": (["solve", "--instance", f, "--epsilon", "0.8", "--samples", "60",
                    "--seed", "4"], True),
     }
+    # the package from this checkout, installed or not, as tests/test_readme.py runs it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     stable = 0
     for name, (args, writes_out) in commands.items():
         outs = []
@@ -338,7 +344,7 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
             extra = ["--out", str(out_file)] if writes_out else []
             proc = subprocess.run(
                 [sys.executable, "-m", "amphimax", *args, *extra],
-                capture_output=True, text=True, timeout=120,
+                capture_output=True, text=True, timeout=120, env=env,
             )
             assert proc.returncode == 0, proc.stderr
             outs.append((proc.stdout, out_file.read_bytes() if writes_out else b""))

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,16 @@ from amphimax.net import build_net, prune_net
 
 
 def run_cli(*args, cwd=None):
+    # the package from this checkout, installed or not, as tests/test_readme.py runs it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "amphimax", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         timeout=120,
     )
 

@@ -395,7 +395,7 @@ def test_reversed_edges_equal_the_per_edge_build(case):
         np.array([e[2] for e in edges], dtype=float)[order],
         *np.unique(src[order], return_index=True),
     )
-    got = diffusion._reversed_edges.__wrapped__(KERNEL_CASES[case])
+    got = diffusion._reversed_edges(KERNEL_CASES[case])
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.flags.c_contiguous and np.array_equal(g, w)
 
@@ -403,7 +403,7 @@ def test_reversed_edges_equal_the_per_edge_build(case):
 def reference_pool(instance, samples, rng):
     """RR sets as a (m, samples) bool array, one backward search per run.
 
-    Takes the words reverse_reachable_pool reads from a pool's window, from
+    Takes the words an rr_sampler draw reads from a pool's window, from
     an `rng` whose raw words start at that window: ceil(samples/2) words
     whose 32-bit halves give the targets as (half * m) >> 32, then the live
     edges as reference_draws takes them, edges ordered by (source, target).
@@ -441,7 +441,7 @@ def test_reverse_reachable_pool_equals_a_backward_search(case, samples):
     for seed in range(3):
         # pool `seed` at the key: the window after `seed` earlier ones
         key = (seed, "rr-check")
-        pool = diffusion.reverse_reachable_pool(inst, samples, key, seed, 1)
+        pool = diffusion.rr_sampler(inst, samples, key)(seed, 1)
         rng = stream(*key)
         rng.bit_generator.random_raw(seed * window_length(inst, samples))
         want = reference_pool(inst, samples, rng)
@@ -454,21 +454,28 @@ def test_reverse_reachable_pool_equals_a_backward_search(case, samples):
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 @pytest.mark.parametrize("samples", [1, 63, 65, 300])
 def test_each_pool_of_a_batch_equals_its_own_draw(monkeypatch, case, samples):
-    # pool i reads its own window whatever is read with it: drawn alone, in
-    # a batch of 5 on one run axis and through one _propagate, and with the
-    # window rows read in chunks of one row
+    # pool i reads its own window whatever is read with it: drawn alone by
+    # a sampler of its own, by one sampler after other windows, in a batch
+    # of 5 on one run axis and through one _propagate, and with the window
+    # rows read in chunks of one row; every read goes through the reader
     inst = KERNEL_CASES[case]
     key = (3, "batch-check")
-    alone = [diffusion.reverse_reachable_pool(inst, samples, key, i, 1) for i in range(2, 7)]
+    alone = [diffusion.rr_sampler(inst, samples, key)(i, 1) for i in range(2, 7)]
     reads = []
-    window_words = diffusion.window_words
-    monkeypatch.setattr(diffusion, "window_words", lambda *args: reads.append(args) or window_words(*args))
+    window_reader = diffusion.window_reader
+
+    def counting_reader(address):
+        read = window_reader(address)
+        return lambda start, count: reads.append((address, start, count)) or read(start, count)
+
+    monkeypatch.setattr(diffusion, "window_reader", counting_reader)
+    draw = diffusion.rr_sampler(inst, samples, key)
     for budget in (1, diffusion.DRAW_BUDGET):
         monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
         for i, pool in enumerate(alone, start=2):
-            assert np.array_equal(diffusion.reverse_reachable_pool(inst, samples, key, i, 1), pool), (budget, i)
+            assert np.array_equal(draw(i, 1), pool), (budget, i)
         reads.clear()
-        pools = diffusion.reverse_reachable_pool(inst, samples, key, 2, 5)
+        pools = draw(2, 5)
         assert pools.dtype == np.uint8 and pools.shape == (inst.n_consumers, 8 * ((5 * samples + 63) // 64))
         bits = np.unpackbits(pools, axis=1)
         assert not bits[:, 5 * samples :].any()  # padding stays clear for _propagate
@@ -493,7 +500,7 @@ def test_targets_are_uniform(m):
     # runs / m
     inst = make_instance(np.full((1, m), 0.5), lam=1)
     runs = 1 << 20
-    pool = diffusion.reverse_reachable_pool(inst, runs, (0, "uniform", m), 0, 1)
+    pool = diffusion.rr_sampler(inst, runs, (0, "uniform", m))(0, 1)
     counts = np.unpackbits(pool, axis=1).sum(axis=1)
     assert counts.sum() == runs
     se = math.sqrt(runs * (1.0 / m) * (1.0 - 1.0 / m))
@@ -509,7 +516,7 @@ def test_pool_surrogate_matches_exact_rho_bar():
         s = 0.1 + 2.0 * pick.random(6)
         s[k] = 0.0  # a zero coordinate seeds nobody
         y = indicator(pick.choice(6, 3, replace=False), 6)
-        pool = diffusion.reverse_reachable_pool(inst, samples, (k, "pool-check"), 0, 1)
+        pool = diffusion.rr_sampler(inst, samples, (k, "pool-check"))(0, 1)
         rr = np.unpackbits(pool, axis=1, count=samples).T
         values = 6.0 * -np.expm1(-(rr @ (s * y)))
         se = values.std(ddof=1) / math.sqrt(samples)
@@ -524,7 +531,7 @@ def test_pool_memory_is_bounded_on_a_large_graph():
     inst = gen_rank_r(20, 3000, 2, social_edge_count=20000, seed=3)
     tracemalloc.start()
     try:
-        pool = diffusion.reverse_reachable_pool(inst, 4000, (0, "big-pool"), 0, 1)
+        pool = diffusion.rr_sampler(inst, 4000, (0, "big-pool"))(0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,6 @@
 import numpy as np
 
-from amphimax._rng import stream, window_words
+from amphimax._rng import stream, window_reader
 
 
 def test_same_address_same_draws():
@@ -28,19 +28,23 @@ def test_string_parts_hash_stably():
 
 
 def test_window_words_are_slices_of_the_stream():
-    # any window reads what one sequential draw of the stream's raw words
-    # holds there, whatever was read before: every start in the first few
-    # 4-word blocks, lengths that end inside, at and past block edges
+    # any window a reader reads holds what one sequential draw of the
+    # stream's raw words holds there, whatever it read before: every start
+    # in the first few 4-word blocks, lengths that end inside, at and past
+    # block edges
     sequence = stream(5, "pool").bit_generator.random_raw(64)
+    read = window_reader((5, "pool"))
     for start in range(14):
         for count in (0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 17):
-            got = window_words((5, "pool"), start, count)
+            got = read(start, count)
             assert got.dtype == np.uint64 and np.array_equal(got, sequence[start : start + count]), (start, count)
-    # reads at another address in between leave this one's windows alone
-    window_words((5, "x"), 3, 10)
-    assert np.array_equal(window_words((5, "pool"), 40, 24), sequence[40:])
-    assert not np.array_equal(window_words((5, "x"), 0, 8), sequence[:8])
+    # a reader at another address reads its own stream and leaves this one alone
+    other = window_reader((5, "x"))
+    other(3, 10)
+    assert np.array_equal(read(40, 24), sequence[40:])
+    assert not np.array_equal(other(0, 8), sequence[:8])
+    assert np.array_equal(other(0, 8), stream(5, "x").bit_generator.random_raw(8))
     # far windows: word 4j + r is word r of the block at counter j + 1
     far = stream(5, "pool").bit_generator
     far.advance(1000)
-    assert np.array_equal(window_words((5, "pool"), 4000 + 2, 6), far.random_raw(8)[2:])
+    assert np.array_equal(read(4000 + 2, 6), far.random_raw(8)[2:])

@@ -13,7 +13,7 @@ from amphimax.diffusion import (
     default_sample_count,
     estimate_sigma,
     exact_sigma,
-    reverse_reachable_pool,
+    rr_sampler,
 )
 from amphimax.generators import gen_from_params, gen_rank_r
 from amphimax.greedy import greedy_max
@@ -310,10 +310,9 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool(monkeypatch):
         s[[2, 7]] = 0.0
         s[6] = s[1]
         samples = 64 * (k + 1) + k
-        pool = reverse_reachable_pool(inst, samples, (k, "greedy-check"), k, 1)
+        pool = rr_sampler(inst, samples, (k, "greedy-check"))(k, 1)
         pool[6] = pool[1]
-        monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
-        [picks], evaluations = sdg._consumer_picks(inst, samples, (k, "greedy-check"), k, s[None])
+        [picks], evaluations = sdg._consumer_picks(inst, samples, lambda first, count: pool, k, s[None])
         rows, scale, _ = calls[-1]
         assert rows(slice(None)).dtype == np.uint8
         assert np.array_equal(rows(slice(None))[:, 0], np.unpackbits(pool, axis=1, count=samples))
@@ -334,9 +333,8 @@ def test_pool_greedy_matches_greedy_max_on_the_same_pool(monkeypatch):
         M[5, k % 7] = 1.0
         inst = make_instance(M, base.social_edges, b1=budget, lam=base.bit_precision)
         Y = tuple(sorted(np.random.default_rng([k, 4]).choice(7, 1 + k % 5, replace=False).tolist()))
-        pool = reverse_reachable_pool(inst, samples, (k, "provider-check"), k, 1)
-        monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
-        picks, evaluations = sdg._provider_picks(inst, samples, (k, "provider-check"), k, Y)
+        pool = rr_sampler(inst, samples, (k, "provider-check"))(k, 1)
+        picks, evaluations = sdg._provider_picks(inst, samples, lambda first, count: pool, k, Y)
         want, _ = greedy_max(_provider_oracle(pool, samples, Y, M), range(9), budget)
         assert picks == want, k
         assert evaluations == sum(9 - t for t in range(budget))
@@ -349,12 +347,12 @@ def test_pool_greedy_gains_in_row_chunks(monkeypatch):
     inst = gen_rank_r(9, 9, 1, social_edge_count=12, seed=4, budget_providers=4, budget_consumers=4)
     s = np.linspace(0.1, 1.7, 9)
     Y = (0, 2, 3, 5, 8)
-    pool = reverse_reachable_pool(inst, 500, (0, "chunks"), 0, 1)
-    monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
+    pool = rr_sampler(inst, 500, (0, "chunks"))(0, 1)
     calls = _recording_greedy(monkeypatch)
 
     def phases():
-        return sdg._consumer_picks(inst, 500, (0, "pool"), 0, s[None]), sdg._provider_picks(inst, 500, (0, "x"), 0, Y)
+        draw = lambda first, count: pool
+        return sdg._consumer_picks(inst, 500, draw, 0, s[None]), sdg._provider_picks(inst, 500, draw, 0, Y)
 
     whole = phases()
     # 2 rows of 500 floats per chunk, in the gains and in the sum over Y
@@ -380,7 +378,7 @@ def test_pool_estimate_of_sigma_matches_exact_sigma(monkeypatch):
         pick = np.random.default_rng([k, 6])
         X = tuple(pick.choice(5, 1 + k % 3, replace=False).tolist())
         Y = tuple(sorted(pick.choice(6, 2 + k % 3, replace=False).tolist()))
-        sdg._provider_picks(inst, samples, (k, "sigma-check"), 0, Y)
+        sdg._provider_picks(inst, samples, rr_sampler(inst, samples, (k, "sigma-check")), 0, Y)
         hits = calls[-1][0](slice(None))[:, 0]
         values = 6.0 * (1.0 - np.prod(1.0 - hits[list(X)], axis=0))
         se = values.std(ddof=1) / math.sqrt(samples)
@@ -389,17 +387,16 @@ def test_pool_estimate_of_sigma_matches_exact_sigma(monkeypatch):
         assert abs(values.mean() - want) <= 3.0 * se, (k, values.mean(), want, se)
 
 
-def test_provider_phase_memory_is_bounded(monkeypatch):
+def test_provider_phase_memory_is_bounded():
     # 1,000 consumer rows of 20,000 runs, unpacked whole as floats, would
     # take 160 MB; the pool itself, drawn beforehand, is 7.2 MiB
     inst = gen_rank_r(20, 3000, 2, social_edge_count=2000, seed=3, budget_providers=6)
     samples = 20_000
-    pool = reverse_reachable_pool(inst, samples, (0, "big-provider-pool"), 0, 1)
-    monkeypatch.setattr(sdg, "reverse_reachable_pool", lambda *args: pool)
+    pool = rr_sampler(inst, samples, (0, "big-provider-pool"))(0, 1)
     Y = tuple(range(0, 3000, 3))
     tracemalloc.start()
     try:
-        picks, _ = sdg._provider_picks(inst, samples, (0, "x"), 0, Y)
+        picks, _ = sdg._provider_picks(inst, samples, lambda first, count: pool, 0, Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -443,11 +440,16 @@ def _recording(monkeypatch):
     """Record every batch of RR pools that solve draws, in order: ((*key, i) of each pool i, pool size)."""
     draws = []
 
-    def recording_pool(instance, samples, key, first, count):
-        draws.append(([(*key, i) for i in range(first, first + count)], samples))
-        return reverse_reachable_pool(instance, samples, key, first, count)
+    def recording_sampler(instance, samples, key):
+        draw = rr_sampler(instance, samples, key)
 
-    monkeypatch.setattr(sdg, "reverse_reachable_pool", recording_pool)
+        def recording_draw(first, count):
+            draws.append(([(*key, i) for i in range(first, first + count)], samples))
+            return draw(first, count)
+
+        return recording_draw
+
+    monkeypatch.setattr(sdg, "rr_sampler", recording_sampler)
     return draws
 
 
@@ -498,9 +500,10 @@ def _per_point_consumers(inst, config, samples):
     """Sorted consumer picks at every searched net point, each from its own pool and greedy."""
     net = build_net(inst.bipartite, numerical_rank(inst.bipartite), config.epsilon, inst.bit_precision)
     kept = prune_net(net, inst.bipartite, inst.budget_providers, inst.bit_precision)
+    draw = rr_sampler(inst, samples, (config.master_seed, "pool"))
     picks = []
     for j, s in enumerate(net.points[kept]):
-        [chosen], _ = sdg._consumer_picks(inst, samples, (config.master_seed, "pool"), j, s[None])
+        [chosen], _ = sdg._consumer_picks(inst, samples, draw, j, s[None])
         picks.append(sorted(chosen))
     return picks
 
@@ -566,10 +569,10 @@ def test_one_batch_of_pools_stays_in_the_pool_budget(m, edges, samples):
     assert batch > 1
     points = np.random.default_rng(m).random((batch, m))
     chunk = 8 * diffusion._window(inst, samples)
-    diffusion._reversed_edges(inst)  # cached arrays are not the batch's
+    draw = rr_sampler(inst, samples, (0, "pool"))  # the sampler's arrays are not the batch's
     tracemalloc.start()
     try:
-        picks, _ = sdg._consumer_picks(inst, samples, (0, "pool"), 0, points)
+        picks, _ = sdg._consumer_picks(inst, samples, draw, 0, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -631,8 +634,11 @@ def test_provider_phase_runs_once_per_consumer_set(monkeypatch):
     assert report[sol.net_point_index]["net_point_index"] == sol.net_point_index
 
 
+# the last three rows run the same rungs at epsilon 0.1, inside the range of
+# the guarantee: (1 - 1/e - 0.1)^3 = 0.151
 @pytest.mark.parametrize(
-    "n, m, r, edges, epsilon", [(4, 3, 1, 2, 0.5), (4, 3, 2, 2, 0.8), (6, 5, 1, 6, 0.6)]
+    "n, m, r, edges, epsilon",
+    [(4, 3, 1, 2, 0.5), (4, 3, 2, 2, 0.8), (6, 5, 1, 6, 0.6), (4, 3, 1, 2, 0.1), (4, 3, 2, 2, 0.1), (6, 5, 1, 6, 0.1)],
 )
 def test_solve_returns_the_optimum_on_small_rungs(n, m, r, edges, epsilon):
     inst = gen_rank_r(n, m, r, social_edge_count=edges, seed=3)
