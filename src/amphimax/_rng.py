@@ -12,37 +12,41 @@ def _key(part):
     return int.from_bytes(digest, "big")
 
 
-def _philox(master_seed, *path):
+def _seeds(master_seed, *path):
     # SeedSequence zero-pads its entropy, so [a] and [a, 0] would collide;
     # the explicit length keeps prefix addresses distinct from extensions
     entropy = [_key(master_seed), len(path)] + [_key(p) for p in path]
-    return np.random.Philox(np.random.SeedSequence(entropy))
+    return np.random.SeedSequence(entropy)
 
 
 def stream(master_seed, *path):
-    """Independent generator addressed by (master_seed, *path).
+    """Independent PCG64DXSM generator addressed by (master_seed, *path).
 
     The same address always yields the same draws; distinct addresses give
     statistically independent streams. Path parts may be ints or short
     strings (strings are hashed stably, not with the salted builtin hash).
     """
-    return np.random.Generator(_philox(master_seed, *path))
+    return np.random.Generator(np.random.PCG64DXSM(_seeds(master_seed, *path)))
+
+
+def instance_stream(master_seed, *path):
+    """stream(master_seed, *path) on Philox: the generators' draws, which fix every generated instance."""
+    return np.random.Generator(np.random.Philox(_seeds(master_seed, *path)))
 
 
 def window_reader(address):
     """read(start, count): raw 64-bit words [start, start + count) of stream(*address).bit_generator.
 
-    Philox is counter-based (Salmon et al., SC 2011): word w of its sequence
-    is word w % 4 of the block at counter w // 4 + 1, so a read sets the
-    reader's one Philox to its fresh state at counter start // 4 and skips
-    start % 4 words, whatever was read before.
+    PCG64DXSM jumps ahead in O(log start) steps and gives one word per step,
+    so a read restores the reader's one generator to its fresh state and
+    advances it start words, whatever was read before.
     """
-    bits = _philox(*address)
+    bits = stream(*address).bit_generator
     state = bits.state
 
     def read(start, count):
-        state["state"]["counter"] = np.array([start // 4, 0, 0, 0], dtype=np.uint64)
         bits.state = state
-        return bits.random_raw(start % 4 + count)[start % 4 :]
+        bits.advance(int(start))  # advance refuses NumPy integers
+        return bits.random_raw(count)
 
     return read

@@ -17,7 +17,7 @@ from .instance import (
     parse_instance,
 )
 from .net import MAX_NET_POINTS, NetSizeError, build_net
-from .sdg import SdgConfig, approximation_ratio, solve
+from .sdg import E_COMPLEMENT, SdgConfig, approximation_ratio, solve
 
 
 def _parse_indices(text):
@@ -88,6 +88,7 @@ def _cmd_solve(args, instance):
         "net_size": len(report),
         "net_searched": sum(not row["pruned"] for row in report),
         "rank": solution.rank,
+        "guarantee": approximation_ratio(args.epsilon) if args.epsilon <= E_COMPLEMENT else None,
     }
 
 

@@ -184,10 +184,10 @@ def _batch_spread(instance, init_probs, samples, rng):
 
 
 def _window(instance, samples):
-    """Raw words per RR pool window: ceil(samples/2) for the targets and each edge with 0 < p < 1, in 4-word blocks."""
+    """Raw words per RR pool window: ceil(samples/2) for the targets and each edge with 0 < p < 1."""
     prob = _edge_arrays(instance)[1]
     drawn = np.count_nonzero((prob > 0.0) & (prob < 1.0))
-    return 4 * -(-((samples + 1) // 2) * (1 + drawn) // 4)
+    return (samples + 1) // 2 * (1 + drawn)
 
 
 def rr_sampler(instance, samples, key):
@@ -198,8 +198,8 @@ def rr_sampler(instance, samples, key):
     al., SODA 2014). The sampler sets up once the reversed edges, the window
     length L (see _window), the drawn rows with their thresholds and one
     window_reader at key. Pool i reads the fixed window [i * L, (i + 1) * L)
-    of the raw words of stream(*key), split into 32-bit halves in memory
-    order: the first ceil(samples/2) words give target k as
+    of the raw PCG64DXSM words of stream(*key), split into 32-bit halves
+    in memory order: the first ceil(samples/2) words give target k as
     (half_k * m) >> 32, within 2**-32 of 1/m for every consumer, and each
     edge with 0 < p < 1, in the order of _reversed_edges (by original
     source, then target), takes the next ceil(samples/2) words, run k live

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import instance_stream
 from .instance import AimInstance, InstanceValidationError, _integer, _scalar_violations, min_bit_precision
 
 
@@ -48,7 +48,7 @@ def gen_rank_r(
         raise ValueError(f"factor_low must lie in [0,1), got {factor_low}")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0,1], got {edge_prob}")
-    rng = stream(seed, "rank_r", n, m, r)
+    rng = instance_stream(seed, "rank_r", n, m, r)
     scale = 1.0 / math.sqrt(r)
     A = (factor_low + (1.0 - factor_low) * rng.random((n, r))) * scale
     B = (factor_low + (1.0 - factor_low) * rng.random((r, m))) * scale
@@ -86,7 +86,7 @@ def gen_planted_biclique(n_vertices, k, seed=0):
     n = int(n_vertices)
     if k % 2 or not 2 <= k <= n:
         raise ValueError(f"k must be even with 2 <= k <= {n}, got {k}")
-    rng = stream(seed, "planted", n, k)
+    rng = instance_stream(seed, "planted", n, k)
     upper = np.triu(rng.random((n, n)) < 0.5, 1)
     adj = upper | upper.T
     planted = np.sort(rng.choice(n, size=k, replace=False))
@@ -215,7 +215,7 @@ def gen_from_params(family, params, seed):
         extras = {"planted": list(planted)}
     elif family == "classic_im":
         m = params["m"]
-        edges = random_digraph(m, params.get("edge_count", 0), stream(seed, "classic_im", m))
+        edges = random_digraph(m, params.get("edge_count", 0), instance_stream(seed, "classic_im", m))
         inst = gen_classic_im(edges, m, params["b2"])
     else:
         inst = gen_three_layer(

@@ -238,7 +238,7 @@ def test_solve_payload_out_and_manifest(instance_file, tmp_path):
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert set(doc) == {"providers", "consumers", "value", "std_error", "net_size", "net_searched", "rank"}
+    assert set(doc) == {"providers", "consumers", "value", "std_error", "net_size", "net_searched", "rank", "guarantee"}
     assert doc["rank"] == 1
     assert len(doc["providers"]) == inst.budget_providers
     assert out.read_text() == proc.stdout
@@ -296,3 +296,15 @@ def test_progress_goes_to_stderr_only(instance_file):
     proc = run_cli("exact", "--instance", str(path), "--x", "0", "--y", "0")
     json.loads(proc.stdout)  # stdout is pure JSON
     assert "done in" in proc.stderr
+
+
+def test_solve_reports_its_guarantee(instance_file):
+    # (1 - 1/e - epsilon)^3 inside the range of the guarantee, null past 1 - 1/e
+    path, _ = instance_file
+    guarantees = {}
+    for epsilon in ("0.6", "0.7"):
+        proc = run_cli("solve", "--instance", str(path), "--epsilon", epsilon, "--samples", "40")
+        assert proc.returncode == 0, proc.stderr
+        guarantees[epsilon] = json.loads(proc.stdout)["guarantee"]
+    assert guarantees["0.6"] == cli.approximation_ratio(0.6) == pytest.approx(3.3e-5, rel=0.01)
+    assert guarantees["0.7"] is None

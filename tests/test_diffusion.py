@@ -429,9 +429,9 @@ def reference_pool(instance, samples, rng):
 
 
 def window_length(instance, samples):
-    """Raw words per pool window: the targets' and every drawn edge's ceil(samples/2), in whole 4-word blocks."""
+    """Raw words per pool window: the targets' and every drawn edge's ceil(samples/2)."""
     drawn = sum(0.0 < p < 1.0 for _, _, p in instance.social_edges)
-    return 4 * math.ceil((samples + 1) // 2 * (1 + drawn) / 4)
+    return (samples + 1) // 2 * (1 + drawn)
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))

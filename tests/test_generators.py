@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -234,3 +235,41 @@ def test_generators_validate_clean_across_families():
         assert 2.0**-inst.bit_precision <= (
             inst.bipartite[inst.bipartite > 0].min() if (inst.bipartite > 0).any() else 1.0
         )
+
+
+# SHA-256 of serialize_instance for the instances the benchmark workloads
+# (the small_ladder rungs, classic_im, simulate_large) and CI's 10x8 rung
+# generate: the generators draw from Philox streams whose words stay fixed,
+# so these bytes hold whatever generator the solver draws from
+PINNED_INSTANCES = {
+    "4x3r1": (
+        lambda: gen_rank_r(4, 3, 1, social_edge_count=2, seed=3),
+        "f95c7aaec3dec8cb7e58aa07263f101e155ff86d66a25192861165c0970ae5a9",
+    ),
+    "4x3r2": (
+        lambda: gen_rank_r(4, 3, 2, social_edge_count=2, seed=3),
+        "0b9bfc859eedbba3842e14b6dd440b47dd43962488acc60e138d32f75ec06ade",
+    ),
+    "6x5r1": (
+        lambda: gen_rank_r(6, 5, 1, social_edge_count=6, seed=3),
+        "5f68175ff2c309de09d6e09c64512bfc931f828237f00c01f6120f15c0607015",
+    ),
+    "classic_im": (
+        lambda: gen_from_params("classic_im", {"m": 50, "edge_count": 150, "b2": 3}, 3)[0],
+        "55bcc4a6c46de5bdb6efdea446c7b62a40455cd92acd109d4f09a1ed7586a643",
+    ),
+    "20x3000r2": (
+        lambda: gen_rank_r(20, 3000, 2, social_edge_count=20_000, seed=3),
+        "915ddb8a4e5a10ec6f110d5f0e4c2d8ac95ba8d196820500a59e39848c3755b4",
+    ),
+    "10x8r2": (
+        lambda: gen_from_params("rank_r", {"n": 10, "m": 8, "r": 2, "social_edges": 10}, 3)[0],
+        "d36600a2e1cfd3ed04a7c23fe46b60d017ebc66ed0c0ca78c4d95093e76adc57",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+def test_generated_instances_keep_their_bytes(name):
+    make, digest = PINNED_INSTANCES[name]
+    assert hashlib.sha256(serialize_instance(make()).encode()).hexdigest() == digest

@@ -1,6 +1,6 @@
 import numpy as np
 
-from amphimax._rng import stream, window_reader
+from amphimax._rng import instance_stream, stream, window_reader
 
 
 def test_same_address_same_draws():
@@ -30,8 +30,7 @@ def test_string_parts_hash_stably():
 def test_window_words_are_slices_of_the_stream():
     # any window a reader reads holds what one sequential draw of the
     # stream's raw words holds there, whatever it read before: every start
-    # in the first few 4-word blocks, lengths that end inside, at and past
-    # block edges
+    # in the first few words, lengths from empty to 17 words
     sequence = stream(5, "pool").bit_generator.random_raw(64)
     read = window_reader((5, "pool"))
     for start in range(14):
@@ -44,7 +43,28 @@ def test_window_words_are_slices_of_the_stream():
     assert np.array_equal(read(40, 24), sequence[40:])
     assert not np.array_equal(other(0, 8), sequence[:8])
     assert np.array_equal(other(0, 8), stream(5, "x").bit_generator.random_raw(8))
-    # far windows: word 4j + r is word r of the block at counter j + 1
-    far = stream(5, "pool").bit_generator
-    far.advance(1000)
-    assert np.array_equal(read(4000 + 2, 6), far.random_raw(8)[2:])
+
+
+def test_far_windows_skip_whole_words():
+    # PCG64DXSM gives one 64-bit word per step, so advance(n) skips n words;
+    # starts past 2**40 and NumPy integer starts (which advance itself
+    # refuses) read the same words
+    read = window_reader((5, "pool"))
+    for start in (1000, 2**40 + 3):
+        far = stream(5, "pool").bit_generator
+        far.advance(start)
+        want = far.random_raw(6)
+        assert np.array_equal(read(start, 6), want)
+        for kind in (np.int64, np.intp, np.uint64):
+            assert np.array_equal(read(kind(start), 6), want), kind
+
+
+def test_instance_streams_differ_from_solver_streams():
+    # the generators draw from Philox at the same addresses the solver
+    # reads PCG64DXSM from; the two never share words
+    assert isinstance(instance_stream(3, "rank_r").bit_generator, np.random.Philox)
+    assert isinstance(stream(3, "rank_r").bit_generator, np.random.PCG64DXSM)
+    for address in [(0,), (3, "rank_r", 4, 3, 1), (5, "pool")]:
+        a = instance_stream(*address).bit_generator.random_raw(8)
+        assert np.array_equal(a, instance_stream(*address).bit_generator.random_raw(8))
+        assert not np.array_equal(a, stream(*address).bit_generator.random_raw(8))

@@ -659,18 +659,18 @@ GOLDEN_INSTANCES = {
     "9x12r2b4": (lambda: gen_rank_r(9, 12, 2, social_edge_count=20, seed=5, budget_consumers=4), 0.6),
 }
 GOLDEN_DIGESTS = {
-    ("4x3r1", 0): "71f2728fe4e844ba39c57ad4ca4bd3a377ef128e131f69e7804629d976f768ca",
-    ("4x3r1", 1): "438f345d301b46fdf0ef565ef75d6ed4a369beb4c12472e50c2850cda25c3a52",
-    ("4x3r2", 0): "df273b075867d3382dabdfe7103259bbb25296f8aa972728f11328151a6888fe",
-    ("4x3r2", 1): "69cd883fb7f25ee680db35a204015746e37f9627c0d4d6456aa66c7f5b95e739",
-    ("6x5r1", 0): "836ecf0f0c2f8d7939a8eae3adb9ac2e36f50ca38904ebb30c5b5bc4e973e336",
-    ("6x5r1", 1): "f395b0734c4fdddaf492f0272f991a00fd4741da1a73ea450a8ea249ce6f2bfe",
-    ("classic_im", 0): "eefbcf9ebab3efa6b05cb06aa867c1631de56d00d574c20cc72c5706384a04d1",
-    ("classic_im", 1): "52d95eeb00ca8f7a0bd2a69a263a03332008b860cf6f86e0267cf323885d2495",
-    ("10x8r2", 0): "a5dd3597c60e3e50032c74d5f35904d2a59f0efe802574d728e7b9f74cb5abab",
-    ("10x8r2", 1): "a95dc37d883a7ef68c8bc766c838a5d356f245d5108cc33a74675c0d45173458",
-    ("9x12r2b4", 0): "4fc4a292ad14e0d242bae1248a3cdef90cce6d4435a64e88f04c86bf549be47f",
-    ("9x12r2b4", 1): "88bec7d67868c484207d751fff6840cf2f740fbb4c5a6de183926ccb9e95f53c",
+    ("4x3r1", 0): "8072c8ce73d33ec84a7121349e05a70339a7e09a52d649574b7ee5d7fcb33fdc",
+    ("4x3r1", 1): "f9e365a5576231068711aecbc708859c741b2bc466260fcdcf5deb8176919e98",
+    ("4x3r2", 0): "f258367cec5d56c9fa8004c81cf0bc38646d96a1208ffc12faf614895b63d357",
+    ("4x3r2", 1): "6403802183efc0cfd7b724232ee3cc21662405299ea1c54f97c7e93a0942fdff",
+    ("6x5r1", 0): "aedf228aa3e51aa395b73b3e5f47652aa5dda2e692e43fc73854f8b48166c797",
+    ("6x5r1", 1): "2764068c3119011da354ab413fb0d81d25aa6b3d2f8ac5f76e4cbe4672c5ee33",
+    ("classic_im", 0): "fa91839df05c4286c1d3f35ab70c4df8ce5b18dd60eaf0544da145b55f7add0e",
+    ("classic_im", 1): "e26e0cbcc4c1b8f1cd8f5f253dd0b7312e73302ca68de00252701432785b59ee",
+    ("10x8r2", 0): "cb379bf138ca398853422c5e14fd49090309c296a8eb18d6e1d9d6bdf501f7e0",
+    ("10x8r2", 1): "c5b8c1e6830b4b2fcb85bb9a0f283ec0070011705aeaaf2d2606da9cb5be5c35",
+    ("9x12r2b4", 0): "e8d86e1464ba3ed9fa2d7c31fa781be4cff07d969a66680d7e881d795d31a7e3",
+    ("9x12r2b4", 1): "e9c360d1ec0997f43259e14fe8691928ef985caae212d743245497b393f6a851",
 }
 
 
