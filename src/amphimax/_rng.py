@@ -13,6 +13,8 @@ def _key(part):
 
 
 def _seeds(master_seed, *path):
+    if _key(master_seed) < 0:
+        raise ValueError(f"master seed must be a non-negative integer, got {master_seed}")
     # SeedSequence zero-pads its entropy, so [a] and [a, 0] would collide;
     # the explicit length keeps prefix addresses distinct from extensions
     entropy = [_key(master_seed), len(path)] + [_key(p) for p in path]

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._rng import stream, window_reader
+from ._rng import window_reader
 from .relaxation import indicator, initial_activation, net_relaxation
 
 EXACT_EDGE_LIMIT = 22
@@ -89,41 +89,36 @@ def _pack_runs(bits):
     return out
 
 
-def _bernoulli_rows(probs):
-    """(drawn, thresholds): the Bernoulli(p) rows with 0 < p < 1, p = probs[k], and floor(p * 2**32) of each.
+def _draw_rows(probs, samples, count, raw):
+    """Bernoulli(p) rows for `count` blocks of `samples` runs on one run axis, packed as by _pack_runs.
 
-    Run j of drawn row k fires when its 32-bit half is below thresholds[k]:
-    p is rounded down to a multiple of 2**-32, so a p below 2**-32 never fires.
+    Row k holds the runs of p = probs[k], block b as runs b * samples to
+    (b + 1) * samples - 1. Rows with p <= 0 stay clear and rows with p >= 1
+    are set, drawing nothing. Every other row is drawn: raw(first, rows)
+    returns the raw 64-bit words of drawn rows [first, first + rows), in
+    [block, row, word] order with ceil(samples/2) words per row and block,
+    split into 32-bit halves in memory order; run j of a block fires when
+    its half j is below floor(p * 2**32), so p is rounded down to a multiple
+    of 2**-32 and a p below 2**-32 never fires. Drawn rows go in _chunks of
+    their raw words, one call of raw per chunk, and a chunk's fired bits
+    take one byte per run; the bits depend on neither the chunk size nor
+    the other blocks.
     """
-    drawn = np.flatnonzero((probs > 0.0) & (probs < 1.0))
-    # exact for p in (0, 1): scaling by 2**32 is exact and the cast truncates
-    return drawn, (probs[drawn] * 2.0**32).astype(np.uint32)
-
-
-def _fixed_rows(probs, runs):
-    """Packed rows of `runs` runs before any draw: the rows with p >= 1 set, all others clear."""
+    runs = count * samples
     out = np.zeros((probs.size, _word_bytes(runs)), dtype=np.uint8)
     out[probs >= 1.0] = _pack_runs(np.ones((1, runs), dtype=bool))
-    return out
-
-
-def _packed_draws(rng, samples, probs):
-    """Bernoulli(p) bits for `samples` runs, packed 8 runs per byte, 64 per word.
-
-    Row k of the result holds the runs of p = probs[k], packed as by
-    _pack_runs, set up by _fixed_rows and drawn as _bernoulli_rows says.
-    Every drawn row, in row order, takes ceil(samples/2) raw 64-bit words
-    of rng.bit_generator, split into 32-bit halves in memory order, run j
-    reading half j. Rows go in _chunks of their raw words, and a chunk's
-    fired bits take one byte per run; the bits do not depend on the chunk
-    size, and consecutive calls continue the generator's stream.
-    """
-    out = _fixed_rows(probs, samples)
-    drawn, thresholds = _bernoulli_rows(probs)
+    drawn = np.flatnonzero((probs > 0.0) & (probs < 1.0))
+    # exact for p in (0, 1): scaling by 2**32 is exact and the cast truncates
+    thresholds = (probs[drawn] * 2.0**32).astype(np.uint32)
     words = (samples + 1) // 2
-    for part in _chunks(drawn.size, 8 * words):
-        halves = rng.bit_generator.random_raw((part.stop - part.start) * words).view(np.uint32)
-        out[drawn[part]] = _pack_runs(halves.reshape(-1, 2 * words)[:, :samples] < thresholds[part, None])
+    for part in _chunks(drawn.size, 8 * words * count):
+        rows = part.stop - part.start
+        # [b, r, j]: half j of drawn row part.start + r in block b
+        halves = raw(part.start, rows).reshape(count, rows, words).view(np.uint32)[:, :, :samples]
+        fired = np.empty((rows, runs), dtype=bool)
+        np.less(halves.transpose(1, 0, 2), thresholds[part, None, None], out=fired.reshape(rows, count, samples))
+        del halves  # free these words before the next chunk reads its own
+        out[drawn[part]] = _pack_runs(fired)
     return out
 
 
@@ -161,8 +156,9 @@ def _batch_spread(instance, init_probs, samples, rng):
     edge's coin only matters the first time its source activates.
 
     Runs are bit-parallel: each consumer and each edge holds one bit per run,
-    64 runs per word, drawn by _packed_draws (the seeds one row per
-    consumer, then the edges one row per edge in target order). Memory is
+    64 runs per word, drawn by _draw_rows from the generator's raw words in
+    order (the seeds one row per consumer, then the edges one row per edge
+    in target order), so consecutive calls continue its stream. Memory is
     O((m + E) * ceil(samples/64) * 8) bytes plus one chunk under
     DRAW_BUDGET bytes: the draws go in _chunks of rows, and so does the
     count of each run's total, which unpacks the consumer rows a chunk at a
@@ -172,9 +168,13 @@ def _batch_spread(instance, init_probs, samples, rng):
     """
     if not init_probs.any():
         return 0.0, 0.0
-    active = _packed_draws(rng, samples, init_probs)
+
+    def raw(first, rows):
+        return rng.bit_generator.random_raw(rows * ((samples + 1) // 2))
+
+    active = _draw_rows(init_probs, samples, 1, raw)
     src, prob, heads, cuts = _edge_arrays(instance)
-    _propagate(active, _packed_draws(rng, samples, prob), src, heads, cuts)
+    _propagate(active, _draw_rows(prob, samples, 1, raw), src, heads, cuts)
     totals = np.zeros(samples)
     for part in _chunks(active.shape[0], samples):
         totals += np.unpackbits(active[part], axis=1, count=samples).sum(axis=0)
@@ -196,52 +196,42 @@ def rr_sampler(instance, samples, key):
     Run k picks a uniform target consumer, flips every social edge once, and
     collects the consumers that reach the target over live edges (Borgs et
     al., SODA 2014). The sampler sets up once the reversed edges, the window
-    length L (see _window), the drawn rows with their thresholds and one
-    window_reader at key. Pool i reads the fixed window [i * L, (i + 1) * L)
-    of the raw PCG64DXSM words of stream(*key), split into 32-bit halves
-    in memory order: the first ceil(samples/2) words give target k as
-    (half_k * m) >> 32, within 2**-32 of 1/m for every consumer, and each
-    edge with 0 < p < 1, in the order of _reversed_edges (by original
-    source, then target), takes the next ceil(samples/2) words, run k live
-    when half k is below floor(p * 2**32), as in _packed_draws. Edges with
-    p <= 0 stay blocked and p >= 1 live, drawing nothing. The pools share
-    one run axis: bit b * samples + k of row u in the (m, W) uint8 result,
-    packed as by _pack_runs, is set when u is in RR set k of pool first + b,
-    and all of them go through one _propagate on the reversed edges, seeded
-    one-hot at the targets. Rows go in _chunks of their raw words for the
-    whole batch, one read per pool and chunk, or one read for the batch when
-    one chunk holds every row; a pool's bits depend on neither the batch nor
+    length L (see _window) and one window_reader at key. Pool i reads the
+    fixed window [i * L, (i + 1) * L) of the raw PCG64DXSM words of
+    stream(*key): its first ceil(samples/2) words, split into 32-bit halves
+    in memory order, give target k as (half_k * m) >> 32, within 2**-32 of
+    1/m for every consumer, and the rest are the raw words of _draw_rows
+    for the reversed edges, in the order of _reversed_edges (by original
+    source, then target). Pool first + b is block b of the draw: bit
+    b * samples + k of row u in the (m, W) uint8 result, packed as by
+    _pack_runs, is set when u is in RR set k of that pool, and all of them
+    go through one _propagate on the reversed edges, seeded one-hot at the
+    targets. The batch's windows are read at once when one chunk of
+    _draw_rows holds every window row, else per pool: the targets, then
+    each chunk of edge rows; a pool's bits depend on neither the batch nor
     the chunk size. Seeding each consumer u independently with probability
     p_u then spreads to m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in expectation.
     """
     m = instance.n_consumers
     src, prob, heads, cuts = _reversed_edges(instance)
     words = (samples + 1) // 2
-    drawn, thresholds = _bernoulli_rows(prob)
     window = _window(instance, samples)
     read = window_reader(key)
 
     def draw(first, count):
+        # rows [row, row + rows) of every window in the batch: row 0 holds the targets, row 1 + r drawn edge r
+        if window // words <= max(1, DRAW_BUDGET // (8 * words * count)):
+            def raw(row, rows, batch=read(first * window, count * window).reshape(count, window)):
+                return batch[:, row * words : (row + rows) * words]
+        else:
+            def raw(row, rows):
+                return np.stack([read((first + b) * window + row * words, rows * words) for b in range(count)])
+
+        halves = raw(0, 1).view(np.uint32)[:, :samples]
+        targets = (np.multiply(halves, m, dtype=np.uint64) >> 32).view(np.intp).ravel()
+        live = _draw_rows(prob, samples, count, lambda row, rows: raw(1 + row, rows))
+        del raw, halves  # free the window words (a batch read is raw's default) before the pool is built
         runs = count * samples
-        live = _fixed_rows(prob, runs)
-        # row 0 of every window holds the targets, row 1 + r the drawn edge r
-        for part in _chunks(1 + drawn.size, 8 * words * count):
-            rows = part.stop - part.start
-            if rows == 1 + drawn.size:
-                raw = read(first * window, count * window).reshape(count, window)[:, : rows * words]
-            else:
-                starts = range(first * window + part.start * words, (first + count) * window, window)
-                raw = np.stack([read(start, rows * words) for start in starts])
-            # [r, b, k]: half k of row part.start + r in the window of pool first + b
-            halves = raw.reshape(count, rows, words).view(np.uint32)[:, :, :samples].transpose(1, 0, 2)
-            if part.start == 0:
-                targets = (np.multiply(halves[0], m, dtype=np.uint64) >> 32).view(np.intp).ravel()
-                halves = halves[1:]
-            cut = slice(max(part.start, 1) - 1, part.stop - 1)
-            fired = np.empty((halves.shape[0], runs), dtype=bool)
-            np.less(halves, thresholds[cut, None, None], out=fired.reshape(-1, count, samples))
-            live[drawn[cut]] = _pack_runs(fired)
-            del raw, halves  # free these words before the next chunk reads its own
         pool = np.empty((m, _word_bytes(runs)), dtype=np.uint8)
         for part in _chunks(m, runs):
             pool[part] = _pack_runs(np.arange(part.start, part.stop)[:, None] == targets)
@@ -252,17 +242,14 @@ def rr_sampler(instance, samples, key):
 
 
 def _sample_count(samples):
-    if samples is None:
-        return default_sample_count()
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     return samples
 
 
-def estimate_sigma(instance, X, Y, samples=None, rng=None, stream_path=None):
+def estimate_sigma(instance, X, Y, samples, rng, stream_path=None):
     """Monte Carlo estimate of the expected spread for provider set X, consumer set Y."""
     samples = _sample_count(samples)
-    rng = rng if rng is not None else stream(0, "sigma")
     f = initial_activation(
         indicator(X, instance.n_providers), indicator(Y, instance.n_consumers), instance.bipartite
     )
@@ -270,7 +257,7 @@ def estimate_sigma(instance, X, Y, samples=None, rng=None, stream_path=None):
     return SpreadEstimate(mean=mean, std_error=se, samples=samples, stream_path=stream_path)
 
 
-def estimate_sigma_hat(instance, s, Y, samples=None, rng=None, stream_path=None):
+def estimate_sigma_hat(instance, s, Y, samples, rng, stream_path=None):
     """Forward Monte Carlo estimate of the surrogate spread at net point s.
 
     Each consumer in Y starts active independently with probability
@@ -278,7 +265,6 @@ def estimate_sigma_hat(instance, s, Y, samples=None, rng=None, stream_path=None)
     surrogate on reverse-reachable pools instead.
     """
     samples = _sample_count(samples)
-    rng = rng if rng is not None else stream(0, "sigma_hat")
     init = net_relaxation(s, indicator(Y, instance.n_consumers))
     mean, se = _batch_spread(instance, init, samples, rng)
     return SpreadEstimate(mean=mean, std_error=se, samples=samples, stream_path=stream_path)

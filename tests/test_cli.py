@@ -202,6 +202,20 @@ def test_bad_sample_counts_and_epsilon_exit_1(instance_file, args, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_negative_seed_exits_1(instance_file):
+    # refused by name, not with NumPy's bare "expected non-negative integer"
+    path = str(instance_file[0])
+    for args in (
+        ("solve", "--instance", path, "--epsilon", "0.8"),
+        ("simulate", "--instance", path, "--x", "0", "--y", "0"),
+        ("gen", "--family", "rank_r", "--params", "n=4,m=3,r=1"),
+    ):
+        proc = run_cli(*args, "--seed", "-1")
+        assert proc.returncode == 1, args
+        assert proc.stderr == "error: master seed must be a non-negative integer, got -1\n", args
+        assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["net", "solve"])
 def test_tiny_epsilon_exits_1_before_the_grid_exists(instance_file, command):
     # a grid of ~10^10 values at 1e-9; at 1e-20 the weak epsilon rounds to 0

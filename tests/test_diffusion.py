@@ -551,14 +551,33 @@ class CountingRng:
         return self.rng.bit_generator.random_raw(size)
 
 
-class ConstantRaw:
-    """A bit generator stub whose raw words all equal `word`."""
+def raw_words(rng, count, probs, samples):
+    """Raw words of rng as the drawn rows of `count` blocks take them: a (count, drawn rows, ceil(samples/2)) array."""
+    drawn = np.count_nonzero((probs > 0.0) & (probs < 1.0))
+    return rng.bit_generator.random_raw((count, drawn, (samples + 1) // 2))
 
-    def __init__(self, word):
-        self.word, self.bit_generator = word, self
 
-    def random_raw(self, size):
-        return np.full(size, self.word, dtype=np.uint64)
+def draw_blocks(probs, samples, count, words, calls=None):
+    """_draw_rows of `count` blocks on the raw words `words` (see raw_words).
+
+    raw(first, rows) hands out rows [first, first + rows) of every block and
+    appends (first, rows) to `calls`. Block b of the result must equal a
+    draw of one block on words[b] alone.
+    """
+
+    def raw_of(block_words, log):
+        def raw(first, rows):
+            log.append((first, rows))
+            return block_words[:, first : first + rows]
+
+        return raw
+
+    out = diffusion._draw_rows(probs, samples, count, raw_of(words, [] if calls is None else calls))
+    bits = np.unpackbits(out, axis=1)
+    for b in range(count):
+        alone = np.unpackbits(diffusion._draw_rows(probs, samples, 1, raw_of(words[b : b + 1], [])), axis=1)
+        assert np.array_equal(bits[:, b * samples : (b + 1) * samples], alone[:, :samples]), b
+    return out
 
 
 def test_chunks_cover_the_range_in_order(monkeypatch):
@@ -578,22 +597,24 @@ def test_chunks_cover_the_range_in_order(monkeypatch):
 @pytest.mark.parametrize("samples", [65, 1001])
 def test_packed_draws_do_not_depend_on_the_chunk_size(monkeypatch, samples):
     # fan_in: 6 consumer rows and 6 edge rows, of which `drawn` are neither
-    # 0 nor 1; at 65 runs a 1000-byte budget holds 3 rows of 33 words
+    # 0 nor 1; at 65 runs a 1000-byte budget holds 3 rows of 33 words, and
+    # a 2400-byte budget 3 rows of 3 blocks
     inst = KERNEL_CASES["fan_in"]
     init = _init_probs(inst.n_consumers, 0)
     _, prob, _, _ = diffusion._edge_arrays(inst)
-    drawn = [np.count_nonzero((p > 0.0) & (p < 1.0)) for p in (init, prob)]
     want = dense_batch_spread(inst, init, samples, np.random.default_rng(5))
+    words = {c: [raw_words(np.random.default_rng([5, c]), c, p, samples) for p in (init, prob)] for c in (1, 3)}
     bits = {}
-    for budget in (1, 1000, diffusion.DRAW_BUDGET):
+    for budget in (1, 1000, 2400, diffusion.DRAW_BUDGET):
         monkeypatch.setattr(diffusion, "DRAW_BUDGET", budget)
-        rng = CountingRng(5)
-        seeds = diffusion._packed_draws(rng, samples, init)
-        bits[budget] = np.vstack([seeds, diffusion._packed_draws(rng, samples, prob)])
-        rows = max(1, budget // (8 * ((samples + 1) // 2)))
-        assert rng.calls == sum(math.ceil(n / rows) for n in drawn)
         assert diffusion._batch_spread(inst, init, samples, CountingRng(5)) == want
-    assert all(np.array_equal(b, bits[1]) for b in bits.values())
+        for count in (1, 3):
+            calls = []
+            drawn = [draw_blocks(p, samples, count, w, calls) for p, w in zip((init, prob), words[count])]
+            bits[count, budget] = np.vstack(drawn)
+            rows = max(1, budget // (8 * ((samples + 1) // 2) * count))
+            assert len(calls) == sum(math.ceil(w.shape[1] / rows) for w in words[count])
+    assert all(np.array_equal(b, bits[count, 1]) for (count, _), b in bits.items())
 
 
 def test_certain_rows_draw_nothing():
@@ -601,32 +622,38 @@ def test_certain_rows_draw_nothing():
     # the one drawn row equals a draw of that row alone
     samples = 100
     probs = np.array([0.0, 1.0, 0.3, 1.0, 0.0])
-    rng = CountingRng(3)
-    bits = np.unpackbits(diffusion._packed_draws(rng, samples, probs), axis=1, count=samples).astype(bool)
-    assert rng.calls == 1
-    assert not bits[[0, 4]].any() and bits[[1, 3]].all()
-    assert np.array_equal(bits[2], reference_draws(np.random.default_rng(3), samples, [0.3])[:, 0])
-    rng = CountingRng(3)
-    diffusion._packed_draws(rng, samples, probs[[0, 1, 3, 4]])
-    assert rng.calls == 0
+    for count in (1, 3):
+        words, calls = raw_words(np.random.default_rng(3), count, probs, samples), []
+        bits = np.unpackbits(draw_blocks(probs, samples, count, words, calls), axis=1, count=count * samples)
+        assert len(calls) == 1
+        assert not bits[[0, 4]].any() and bits[[1, 3]].all()
+        assert np.array_equal(bits[2, :samples], reference_draws(np.random.default_rng(3), samples, [0.3])[:, 0])
+        calls = []
+        draw_blocks(probs[[0, 1, 3, 4]], samples, count, words[:, :0], calls)
+        assert calls == []
 
 
 @pytest.mark.parametrize("samples", [1, 63, 64, 65, 1001])
 def test_padding_bits_stay_clear(samples):
     probs = np.array([0.0, 0.3, 0.999, 1.0])
-    out = diffusion._packed_draws(np.random.default_rng(samples), samples, probs)
-    assert out.dtype == np.uint8 and out.shape == (4, 8 * ((samples + 63) // 64))
-    bits = np.unpackbits(out, axis=1)
-    assert not bits[:, samples:].any()
-    assert bits[3, :samples].all()
+    for count in (1, 3):
+        runs = count * samples
+        out = draw_blocks(probs, samples, count, raw_words(np.random.default_rng(samples), count, probs, samples))
+        assert out.dtype == np.uint8 and out.shape == (4, 8 * ((runs + 63) // 64))
+        bits = np.unpackbits(out, axis=1)
+        assert not bits[:, runs:].any()
+        assert bits[3, :runs].all()
 
 
 @pytest.mark.parametrize("p", [1e-3, 0.25, 0.5, 0.999])
 def test_row_frequencies_match_their_probabilities(p):
     samples = 1 << 20
-    out = diffusion._packed_draws(stream(0, "freq", str(p)), samples, np.array([p]))
-    hits = int(np.unpackbits(out).sum())
-    assert abs(hits / samples - p) <= 5.0 * math.sqrt(p * (1.0 - p) / samples)
+    probs = np.array([p])
+    for count in (1, 3):
+        runs = count * samples
+        out = draw_blocks(probs, samples, count, raw_words(stream(0, "freq", str(p)), count, probs, samples))
+        hits = int(np.unpackbits(out).sum())
+        assert abs(hits / runs - p) <= 5.0 * math.sqrt(p * (1.0 - p) / runs)
 
 
 def test_thresholds_round_down_to_multiples_of_two_to_the_minus_32():
@@ -640,9 +667,10 @@ def test_thresholds_round_down_to_multiples_of_two_to_the_minus_32():
         (0x8000_0000_8000_0000, [0.5, 0.5 + 2.0**-32], [False, True]),
     ]
     for word, probs, fires in cases:
-        out = diffusion._packed_draws(ConstantRaw(word), 9, np.array(probs))
-        for row, fire in zip(np.unpackbits(out, axis=1, count=9), fires, strict=True):
-            assert row.all() if fire else not row.any()
+        for count in (1, 3):
+            out = draw_blocks(np.array(probs), 9, count, np.full((count, len(probs), 5), word, dtype=np.uint64))
+            for row, fire in zip(np.unpackbits(out, axis=1, count=9 * count), fires, strict=True):
+                assert row.all() if fire else not row.any()
 
 
 def test_estimate_sigma_empty_x():
@@ -727,9 +755,9 @@ def test_estimate_ic_spread_agrees_with_exact():
 @pytest.mark.parametrize("samples", [0, -3])
 def test_estimates_reject_bad_sample_counts(samples):
     with pytest.raises(ValueError, match="samples must be at least 1"):
-        estimate_sigma(HALF_PAIR, (0,), (0,), samples=samples)
+        estimate_sigma(HALF_PAIR, (0,), (0,), samples, stream(0, "t"))
     with pytest.raises(ValueError, match="samples must be at least 1"):
-        estimate_sigma_hat(HALF_PAIR, np.ones(2), (0,), samples=samples)
+        estimate_sigma_hat(HALF_PAIR, np.ones(2), (0,), samples, stream(0, "t"))
 
 
 def test_estimates_carry_stream_path():

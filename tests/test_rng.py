@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from amphimax._rng import instance_stream, stream, window_reader
 
@@ -68,3 +69,12 @@ def test_instance_streams_differ_from_solver_streams():
         a = instance_stream(*address).bit_generator.random_raw(8)
         assert np.array_equal(a, instance_stream(*address).bit_generator.random_raw(8))
         assert not np.array_equal(a, stream(*address).bit_generator.random_raw(8))
+
+
+def test_negative_master_seeds_are_refused():
+    # by name, before NumPy's SeedSequence sees them
+    for make in (stream, instance_stream, lambda *address: window_reader(address)):
+        with pytest.raises(ValueError, match=r"^master seed must be a non-negative integer, got -1$"):
+            make(-1, "pool")
+    with pytest.raises(ValueError, match="got -3"):
+        stream(np.int64(-3))
