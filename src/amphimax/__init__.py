@@ -28,7 +28,6 @@ from .instance import (
     AimInstance,
     InstanceFormatError,
     InstanceValidationError,
-    RankBasis,
     dump_json,
     numerical_rank,
     parse_instance,
@@ -45,7 +44,6 @@ __all__ = [
     "InstanceFormatError",
     "InstanceValidationError",
     "NetSizeError",
-    "RankBasis",
     "SdgConfig",
     "SeedSolution",
     "SpreadEstimate",

@@ -112,7 +112,7 @@ def _cmd_net(args, instance):
     basis = numerical_rank(instance.bipartite)
     net = build_net(instance.bipartite, basis, args.epsilon, instance.bit_precision)
     return {
-        "r": basis.rank,
+        "r": len(basis),
         "grid_size": net.grid_size,
         "count": len(net),
         "points": net.points.tolist(),
@@ -141,6 +141,12 @@ def _parse_params(text):
 def _cmd_gen(args, _):
     from .generators import gen_from_params
 
+    # three_layer draws nothing, so it takes no seed and its manifest records none
+    if args.family == "three_layer":
+        if args.seed is not None:
+            raise ValueError("family three_layer draws nothing and takes no --seed")
+    elif args.seed is None:
+        args.seed = 0
     instance, extras = gen_from_params(args.family, _parse_params(args.params), args.seed)
     doc = _instance_doc(instance)
     doc.update(extras)
@@ -199,7 +205,7 @@ def _build_parser():
     common(p, instance=False)
     p.add_argument("--family", required=True, choices=["rank_r", "planted", "classic_im", "three_layer"])
     p.add_argument("--params", default="", help="comma-separated K=V pairs")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, seed=None)
 
     p = sub.add_parser("ratio", help="print the worst-case approximation ratio for epsilon")
     p.add_argument("--epsilon", type=float, required=True)

@@ -326,7 +326,7 @@ def exact_sigma(instance, X, Y):
     f = initial_activation(
         indicator(X, instance.n_providers), indicator(Y, instance.n_consumers), instance.bipartite
     )
-    return float(_exact_spread(instance, f[None])[0])
+    return exact_rho_bar(instance, f)
 
 
 def exact_rho_bar(instance, zbar):

@@ -8,14 +8,14 @@ from ._rng import instance_stream
 from .instance import AimInstance, InstanceValidationError, _integer, _scalar_violations, min_bit_precision
 
 
-def random_digraph(m, edge_count, rng, prob_high=0.5):
-    """Simple directed graph: edge_count distinct ordered pairs with probabilities in (0, prob_high]."""
+def random_digraph(m, edge_count, rng):
+    """Simple directed graph: edge_count distinct ordered pairs with probabilities in (0, 0.5]."""
     if edge_count < 0 or edge_count > m * (m - 1):
         raise ValueError(f"cannot place {edge_count} distinct edges on {m} nodes")
     if edge_count == 0:
         return ()
     codes = np.sort(rng.choice(m * (m - 1), size=edge_count, replace=False))
-    probs = prob_high * (1.0 - rng.random(edge_count))
+    probs = 0.5 * (1.0 - rng.random(edge_count))
     # code u*(m-1) + k is the edge from u to the k-th node other than u
     u, rest = np.divmod(codes, m - 1)
     w = rest + (rest >= u)
@@ -62,8 +62,6 @@ def gen_rank_r(
             f"bit_precision {lam} too coarse: floor 2^-{lam} exceeds the smallest nonzero entry"
         )
     inst = AimInstance(
-        n_providers=n,
-        n_consumers=m,
         bipartite=M,
         social_edges=edges,
         budget_providers=max(1, n // 3) if budget_providers is None else budget_providers,
@@ -96,8 +94,6 @@ def gen_planted_biclique(n_vertices, k, seed=0):
     M = np.where(adj, 1.0 / n**2, 0.0)
     return (
         AimInstance(
-            n_providers=n,
-            n_consumers=n,
             bipartite=M,
             social_edges=(),
             budget_providers=k // 2,
@@ -116,8 +112,6 @@ def gen_classic_im(social_edges, m, b2):
     is exactly influence maximization on the social graph with budget b2.
     """
     return AimInstance(
-        n_providers=1,
-        n_consumers=m,
         bipartite=np.ones((1, m)),
         social_edges=social_edges,
         budget_providers=1,
@@ -151,8 +145,6 @@ def gen_three_layer(k, groups, bottom_per_group, middle_per_group=1):
             for bot in bottoms:
                 edges.append((mid, bot, 1.0))
     return AimInstance(
-        n_providers=n,
-        n_consumers=m,
         bipartite=M,
         social_edges=tuple(edges),
         budget_providers=k,

@@ -28,12 +28,11 @@ class InstanceValidationError(ValueError):
 class AimInstance:
     """One seeding problem: influence matrix, social graph, and budgets.
 
+    The numbers of providers and consumers are the matrix's row and column
+    counts, read as n_providers and n_consumers.
+
     Attributes
     ----------
-    n_providers : int
-        Number of provider nodes (rows of the influence matrix).
-    n_consumers : int
-        Number of consumer nodes (columns, and vertices of the social graph).
     bipartite : ndarray of shape (n_providers, n_consumers)
         Entry (i, j) is the probability that seed provider i directly
         activates consumer j. Stored dense and read-only.
@@ -47,8 +46,6 @@ class AimInstance:
         Lambda such that every nonzero matrix entry is at least 2**-lambda.
     """
 
-    n_providers: int
-    n_consumers: int
     bipartite: np.ndarray
     social_edges: tuple
     budget_providers: int
@@ -57,10 +54,20 @@ class AimInstance:
 
     def __post_init__(self):
         mat = np.array(self.bipartite, dtype=float)
+        if mat.ndim != 2:
+            raise InstanceValidationError([f"bipartite must be a 2-D matrix, got shape {mat.shape}"])
         mat.setflags(write=False)
         object.__setattr__(self, "bipartite", mat)
         edges = tuple((int(u), int(v), float(p)) for u, v, p in self.social_edges)
         object.__setattr__(self, "social_edges", edges)
+
+    @property
+    def n_providers(self):
+        return self.bipartite.shape[0]
+
+    @property
+    def n_consumers(self):
+        return self.bipartite.shape[1]
 
     # identity hashing keeps instances usable as cache keys while the
     # field-wise equality below serves round-trip tests
@@ -70,40 +77,12 @@ class AimInstance:
         if not isinstance(other, AimInstance):
             return NotImplemented
         return (
-            self.n_providers == other.n_providers
-            and self.n_consumers == other.n_consumers
-            and self.bipartite.shape == other.bipartite.shape
-            and np.array_equal(self.bipartite, other.bipartite)
+            np.array_equal(self.bipartite, other.bipartite)
             and self.social_edges == other.social_edges
             and self.budget_providers == other.budget_providers
             and self.budget_consumers == other.budget_consumers
             and self.bit_precision == other.bit_precision
         )
-
-
-@dataclass(frozen=True)
-class RankBasis:
-    """A row basis of the influence matrix.
-
-    Attributes
-    ----------
-    rank : int
-        Number of independent rows found at the working tolerance.
-    row_indices : tuple of int
-        Indices of the rows kept, in scan order.
-    basis_rows : ndarray of shape (rank, n_consumers)
-        The kept rows themselves.
-    """
-
-    rank: int
-    row_indices: tuple
-    basis_rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.array(self.basis_rows, dtype=float)
-        rows.setflags(write=False)
-        object.__setattr__(self, "basis_rows", rows)
-        object.__setattr__(self, "row_indices", tuple(int(i) for i in self.row_indices))
 
 
 def validate(instance):
@@ -126,9 +105,6 @@ def validate(instance):
         v.append("n_providers must be at least 1")
     if m < 1:
         v.append("n_consumers must be at least 1")
-    if mat.shape != (n, m):
-        v.append(f"matrix shape {mat.shape} does not match ({n}, {m})")
-        return v
     if not np.all(np.isfinite(mat)):
         bad = np.argwhere(~np.isfinite(mat))
         for i, j in bad[:10]:
@@ -178,23 +154,22 @@ def _scalar_violations(instance):
     return v
 
 
-def numerical_rank(M, tol=RANK_TOL):
-    """Greedy row basis of M at an absolute reconstruction tolerance.
+def numerical_rank(M):
+    """Greedy row basis of M at the absolute reconstruction tolerance RANK_TOL.
 
     Rows are scanned in order; a row is kept when its least-squares residual
-    against the rows already kept exceeds `tol` in max-abs norm. The scan is
-    deterministic, so identical matrices always give identical bases.
+    against the rows already kept exceeds RANK_TOL in max-abs norm. The scan
+    is deterministic, so identical matrices always give identical bases.
 
     Parameters
     ----------
     M : array_like
         Matrix to factor.
-    tol : float
-        Max-abs reconstruction error allowed for a row to count as dependent.
 
     Returns
     -------
-    RankBasis
+    ndarray of shape (rank, m)
+        The kept rows of M in scan order, read-only; the rank is its row count.
     """
     M = np.asarray(M, dtype=float)
     kept = []
@@ -205,11 +180,12 @@ def numerical_rank(M, tol=RANK_TOL):
         for _ in range(2):
             for q in ortho:
                 resid = resid - (resid @ q) * q
-        if resid.size and np.max(np.abs(resid)) > tol:
+        if resid.size and np.max(np.abs(resid)) > RANK_TOL:
             kept.append(i)
             ortho.append(resid / np.linalg.norm(resid))
-    rows = M[kept] if kept else np.zeros((0, M.shape[1]))
-    return RankBasis(rank=len(kept), row_indices=tuple(kept), basis_rows=rows)
+    rows = M[kept]
+    rows.setflags(write=False)
+    return rows
 
 
 def min_bit_precision(M):
@@ -352,8 +328,6 @@ def parse_instance(text):
     b2 = _integer(budgets["consumers"], "budgets.consumers")
     lam = _integer(doc.get("bit_precision", DEFAULT_BIT_PRECISION), "bit_precision")
     inst = AimInstance(
-        n_providers=n,
-        n_consumers=m,
         bipartite=mat,
         social_edges=tuple(edges),
         budget_providers=b1,

@@ -85,12 +85,11 @@ def independent_column_tuples(basis):
     Tuples come out in lexicographic order; blocks with |det| <= 1e-10 are
     treated as dependent and skipped.
     """
-    r = basis.rank
+    r = len(basis)
     if r == 0:
         return
-    rows = basis.basis_rows
-    for combo in itertools.combinations(range(rows.shape[1]), r):
-        if abs(np.linalg.det(rows[:, combo])) > DET_TOL:
+    for combo in itertools.combinations(range(basis.shape[1]), r):
+        if abs(np.linalg.det(basis[:, combo])) > DET_TOL:
             yield combo
 
 
@@ -154,7 +153,7 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
             f"net needs {size} grid values per coordinate at epsilon {epsilon}, "
             f"over the build limit of {CELL_CAP} cells; raise epsilon"
         )
-    r = basis.rank
+    r = len(basis)
     if r == 0:
         return EpsilonNet(points=np.zeros((1, m)), epsilon=epsilon, grid_size=size)
     # each tuple pins its r coordinates to all grid^r assignments; counting
@@ -174,7 +173,7 @@ def build_net(M, basis, epsilon, bit_precision, max_points=MAX_NET_POINTS):
     assignments = np.stack(np.meshgrid(*([grid] * r), indexing="ij"), axis=-1).reshape(-1, r)
     limit = n * (1.0 + weak_eps) + NOISE_TOL
     # the stacked candidates pass straight to _canonical, which may drop them once sorted
-    points = _canonical(_candidates(basis.basis_rows, tuples, assignments, limit))
+    points = _canonical(_candidates(basis, tuples, assignments, limit))
     points /= root
     points = points[(points <= n + NOISE_TOL).all(axis=1)]
     if len(points) > max_points:

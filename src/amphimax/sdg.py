@@ -220,8 +220,8 @@ def solve(instance, config):
     if violations:
         raise InstanceValidationError(violations)
     basis = numerical_rank(instance.bipartite)
-    if basis.rank > MAX_RANK:
-        raise ValueError(f"matrix rank {basis.rank} exceeds the supported max {MAX_RANK}")
+    if len(basis) > MAX_RANK:
+        raise ValueError(f"matrix rank {len(basis)} exceeds the supported max {MAX_RANK}")
     net = build_net(instance.bipartite, basis, config.epsilon, instance.bit_precision, config.max_net_points)
     kept = prune_net(net, instance.bipartite, instance.budget_providers, instance.bit_precision)
     count = len(kept)
@@ -281,7 +281,7 @@ def solve(instance, config):
         consumers=tuple(sorted(y_set)),
         value=value,
         net_point_index=i,
-        rank=basis.rank,
+        rank=len(basis),
     )
     return solution, report
 

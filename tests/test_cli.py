@@ -110,6 +110,31 @@ def test_gen_planted_embeds_metadata():
     parse_instance(proc.stdout)
 
 
+def test_gen_records_the_seed_of_families_that_draw(tmp_path):
+    def manifest(*argv):
+        out = tmp_path / "inst.json"
+        assert cli.main(["gen", *argv, "--out", str(out)]) == 0
+        return json.loads((tmp_path / "inst.json.manifest.json").read_text())
+
+    for family, params in (("rank_r", "n=4,m=3,r=1"), ("planted", "n=6,k=2"), ("classic_im", "m=4,b2=1")):
+        doc = manifest("--family", family, "--params", params)
+        assert doc["master_seed"] == 0 and doc["config"]["seed"] == 0, family
+        doc = manifest("--family", family, "--params", params, "--seed", "5")
+        assert doc["master_seed"] == 5 and doc["config"]["seed"] == 5, family
+    doc = manifest("--family", "three_layer", "--params", "k=2,groups=2")
+    assert doc["master_seed"] is None and "seed" not in doc["config"]
+
+
+def test_gen_three_layer_takes_no_seed(tmp_path, capsys):
+    # it draws nothing, so any seed is refused, a negative one too
+    out = tmp_path / "tl.json"
+    for seed in ("0", "-1"):
+        argv = ["gen", "--family", "three_layer", "--params", "k=2,groups=2", "--seed", seed, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", "error: family three_layer draws nothing and takes no --seed\n")
+        assert not out.exists()
+
+
 def test_elapsed_time_includes_encoding(tmp_path, monkeypatch, capsys):
     dump = cli._dump
 

@@ -22,7 +22,7 @@ from amphimax.relaxation import indicator, initial_activation, net_relaxation
 
 def make_instance(M, edges=(), b1=1, b2=1, lam=20):
     M = np.asarray(M, dtype=float)
-    return AimInstance(M.shape[0], M.shape[1], M, tuple(edges), b1, b2, lam)
+    return AimInstance(M, tuple(edges), b1, b2, lam)
 
 
 def adjacency(instance):

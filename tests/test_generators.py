@@ -22,7 +22,7 @@ def test_rank_r_rank_property_across_seeds():
     for r in (1, 2, 3):
         for seed in range(50):
             inst = gen_rank_r(6, 8, r, seed=seed)
-            assert numerical_rank(inst.bipartite).rank == r
+            assert len(numerical_rank(inst.bipartite)) == r
             assert validate(inst) == []
 
 
@@ -50,7 +50,7 @@ def test_rank_r_entries_never_clamp():
 
 def test_rank_r_sparsification_keeps_rank_bound():
     inst = gen_rank_r(8, 6, 2, edge_prob=0.6, factor_low=0.4, bit_precision=4, seed=2)
-    assert numerical_rank(inst.bipartite).rank <= 2
+    assert len(numerical_rank(inst.bipartite)) <= 2
     assert validate(inst) == []
 
 
@@ -75,12 +75,12 @@ def test_rank_r_parameter_validation():
     assert gen_rank_r(3, 3, 1, edge_prob=1.0, seed=2) == gen_rank_r(3, 3, 1, seed=2)
 
 
-def loop_random_digraph(m, edge_count, rng, prob_high=0.5):
+def loop_random_digraph(m, edge_count, rng):
     """Reference: the per-edge loop random_digraph replaced, same draws."""
     if edge_count == 0:
         return ()
     codes = rng.choice(m * (m - 1), size=edge_count, replace=False)
-    probs = prob_high * (1.0 - rng.random(edge_count))
+    probs = 0.5 * (1.0 - rng.random(edge_count))
     edges = []
     for code, p in zip(sorted(int(c) for c in codes), probs):
         u, rest = divmod(code, m - 1)
@@ -154,7 +154,7 @@ def test_classic_im_shape_and_reduction():
     inst = gen_classic_im(edges, 4, b2=2)
     assert validate(inst) == []
     assert inst.n_providers == 1 and inst.budget_providers == 1
-    assert numerical_rank(inst.bipartite).rank == 1
+    assert len(numerical_rank(inst.bipartite)) == 1
     assert np.all(inst.bipartite == 1.0)
     # with the single provider chosen, sigma is exactly the classic spread,
     # worked by hand over the two stochastic edges 0->1 and 3->0

@@ -20,15 +20,7 @@ from amphimax.instance import (
 
 def make_instance(M, edges=(), b1=1, b2=1, lam=20):
     M = np.asarray(M, dtype=float)
-    return AimInstance(
-        n_providers=M.shape[0],
-        n_consumers=M.shape[1],
-        bipartite=M,
-        social_edges=tuple(edges),
-        budget_providers=b1,
-        budget_consumers=b2,
-        bit_precision=lam,
-    )
+    return AimInstance(M, tuple(edges), b1, b2, lam)
 
 
 def doc_for(M, edges=(), b1=1, b2=1, lam=20):
@@ -94,10 +86,11 @@ def test_validate_reports_edge_problems():
     assert "duplicate edge (0,1)" in msgs
 
 
-def test_validate_shape_mismatch_short_circuits():
-    inst = AimInstance(3, 2, np.zeros((2, 2)), (), 1, 1)
-    msgs = validate(inst)
-    assert len(msgs) == 1 and "shape" in msgs[0]
+def test_non_matrix_is_refused_at_construction():
+    for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(InstanceValidationError) as info:
+            AimInstance(bad, (), 1, 1)
+        assert info.value.violations == [f"bipartite must be a 2-D matrix, got shape {bad.shape}"]
 
 
 def rank_oracle(M, tol=1e-9):
@@ -114,15 +107,16 @@ def test_numerical_rank_matches_svd_on_constructed_matrices():
             B = rng.random((r, m))
             M = A @ B
             basis = numerical_rank(M)
-            assert basis.rank == rank_oracle(M)
-            assert basis.rank <= r
+            assert len(basis) == rank_oracle(M)
+            assert len(basis) <= r
 
 
 def test_numerical_rank_edge_cases():
-    assert numerical_rank(np.zeros((3, 4))).rank == 0
-    assert numerical_rank(np.eye(3)).rank == 3
+    assert numerical_rank(np.zeros((3, 4))).shape == (0, 4)
+    assert len(numerical_rank(np.eye(3))) == 3
     one = numerical_rank(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    assert one.rank == 1 and one.row_indices == (0,)
+    assert one.tolist() == [[1.0, 2.0]]
+    assert not one.flags.writeable
 
 
 def test_numerical_rank_basis_reconstructs_all_rows():
@@ -130,10 +124,12 @@ def test_numerical_rank_basis_reconstructs_all_rows():
     for _ in range(25):
         M = rng.random((6, 2)) @ rng.random((2, 5))
         basis = numerical_rank(M)
-        sol, *_ = np.linalg.lstsq(basis.basis_rows.T, M.T, rcond=None)
-        assert np.abs(M - sol.T @ basis.basis_rows).max() < 1e-8
-        # kept rows are literal rows of M
-        assert np.array_equal(basis.basis_rows, M[list(basis.row_indices)])
+        sol, *_ = np.linalg.lstsq(basis.T, M.T, rcond=None)
+        assert np.abs(M - sol.T @ basis).max() < 1e-8
+        # kept rows are literal rows of M, in scan order
+        index = [next(i for i, row in enumerate(M) if np.array_equal(row, kept)) for kept in basis]
+        assert index == sorted(set(index))
+        assert not basis.flags.writeable
 
 
 def test_min_bit_precision():

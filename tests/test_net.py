@@ -14,10 +14,10 @@ from amphimax.net import NetSizeError, build_grid, build_net, covers, independen
 
 def membership_residuals(net, basis):
     """Max-abs residual of every net point against the span of the basis rows."""
-    if basis.rank == 0:
+    if len(basis) == 0:
         return np.abs(net.points).max(axis=1) if len(net) else np.zeros(0)
-    sol, *_ = np.linalg.lstsq(basis.basis_rows.T, net.points.T, rcond=None)
-    resid = net.points - (sol.T @ basis.basis_rows)
+    sol, *_ = np.linalg.lstsq(basis.T, net.points.T, rcond=None)
+    resid = net.points - (sol.T @ basis)
     return np.abs(resid).max(axis=1)
 
 
@@ -155,7 +155,7 @@ def test_independent_column_tuples_identity():
 def test_independent_column_tuples_skips_duplicate_columns():
     M = np.array([[1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
     basis = numerical_rank(M)
-    assert basis.rank == 2
+    assert len(basis) == 2
     tuples = list(independent_column_tuples(basis))
     assert (0, 1) not in tuples  # identical columns, zero determinant
     assert tuples == [(0, 2), (1, 2)]
@@ -180,7 +180,7 @@ def test_weak_net_rank_one_points_are_multiples_of_the_row():
     M = np.vstack([v, 2 * v * 0.5])
     basis = numerical_rank(M)
     net = build_net(M, basis, 0.5, bit_precision=2)
-    assert basis.rank == 1
+    assert len(basis) == 1
     assert np.count_nonzero(net.points[:, 2]) == len(net) - 1
     for p in net.points:
         if p[2] > 0:
