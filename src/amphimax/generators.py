@@ -5,21 +5,20 @@ import math
 import numpy as np
 
 from ._rng import instance_stream
-from .instance import AimInstance, InstanceValidationError, _integer, _scalar_violations, min_bit_precision
+from .instance import EDGE_DTYPE, AimInstance, InstanceValidationError, _integer, _scalar_violations, min_bit_precision
 
 
 def random_digraph(m, edge_count, rng):
-    """Simple directed graph: edge_count distinct ordered pairs with probabilities in (0, 0.5]."""
+    """Simple directed graph as an EDGE_DTYPE array: edge_count distinct ordered pairs, probabilities in (0, 0.5]."""
     if edge_count < 0 or edge_count > m * (m - 1):
         raise ValueError(f"cannot place {edge_count} distinct edges on {m} nodes")
-    if edge_count == 0:
-        return ()
+    edges = np.empty(edge_count, dtype=EDGE_DTYPE)
     codes = np.sort(rng.choice(m * (m - 1), size=edge_count, replace=False))
-    probs = 0.5 * (1.0 - rng.random(edge_count))
+    edges["prob"] = 0.5 * (1.0 - rng.random(edge_count))
     # code u*(m-1) + k is the edge from u to the k-th node other than u
     u, rest = np.divmod(codes, m - 1)
-    w = rest + (rest >= u)
-    return tuple(zip(u.tolist(), w.tolist(), probs.tolist()))
+    edges["source"], edges["target"] = u, rest + (rest >= u)
+    return edges
 
 
 def gen_rank_r(
@@ -141,12 +140,10 @@ def gen_three_layer(k, groups, bottom_per_group, middle_per_group=1):
         bottoms = [g * per_group + middle_per_group + j for j in range(bottom_per_group)]
         for i in range(k):
             M[g * k + i, middles] = 1.0 / k
-        for mid in middles:
-            for bot in bottoms:
-                edges.append((mid, bot, 1.0))
+        edges += [(mid, bot, 1.0) for mid in middles for bot in bottoms]
     return AimInstance(
         bipartite=M,
-        social_edges=tuple(edges),
+        social_edges=edges,
         budget_providers=k,
         budget_consumers=groups,
         bit_precision=min_bit_precision(M),

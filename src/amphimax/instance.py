@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_BIT_PRECISION = 20
 RANK_TOL = 1e-9
+EDGE_DTYPE = np.dtype([("source", np.intp), ("target", np.intp), ("prob", np.float64)])
+_LOW, _HIGH = int(np.iinfo(np.intp).min), int(np.iinfo(np.intp).max)
 
 
 class InstanceFormatError(ValueError):
@@ -36,8 +39,9 @@ class AimInstance:
     bipartite : ndarray of shape (n_providers, n_consumers)
         Entry (i, j) is the probability that seed provider i directly
         activates consumer j. Stored dense and read-only.
-    social_edges : tuple of (source, target, probability)
-        Directed consumer-to-consumer edges with probabilities in (0, 1].
+    social_edges : ndarray of EDGE_DTYPE
+        Directed consumer-to-consumer edges with probabilities in (0, 1], read-only, with
+        fields source, target and prob; a sequence of triples is converted once (see _edge_array).
     budget_providers : int
         Exact number of providers to seed.
     budget_consumers : int
@@ -47,7 +51,7 @@ class AimInstance:
     """
 
     bipartite: np.ndarray
-    social_edges: tuple
+    social_edges: np.ndarray
     budget_providers: int
     budget_consumers: int
     bit_precision: int = DEFAULT_BIT_PRECISION
@@ -58,8 +62,7 @@ class AimInstance:
             raise InstanceValidationError([f"bipartite must be a 2-D matrix, got shape {mat.shape}"])
         mat.setflags(write=False)
         object.__setattr__(self, "bipartite", mat)
-        edges = tuple((int(u), int(v), float(p)) for u, v, p in self.social_edges)
-        object.__setattr__(self, "social_edges", edges)
+        object.__setattr__(self, "social_edges", _edge_array(self.social_edges))
 
     @property
     def n_providers(self):
@@ -78,11 +81,34 @@ class AimInstance:
             return NotImplemented
         return (
             np.array_equal(self.bipartite, other.bipartite)
-            and self.social_edges == other.social_edges
+            and np.array_equal(self.social_edges, other.social_edges)
             and self.budget_providers == other.budget_providers
             and self.budget_consumers == other.budget_consumers
             and self.bit_precision == other.bit_precision
         )
+
+
+def _edge_array(edges):
+    """`edges` as a read-only EDGE_DTYPE array: a copy of one, or any sequence of triples converted.
+
+    A triple needs endpoints that are integers or whole floats within intp and a probability that is a real
+    number, none of them a boolean, else InstanceValidationError names its index: 0.7, True or "1" as an
+    endpoint, or "0.25" as a probability, is refused, not coerced.
+    """
+    if isinstance(edges, np.ndarray) and edges.dtype == EDGE_DTYPE:
+        edges = edges.copy()
+    else:
+        rows = [tuple(e) for e in edges]
+        for k, (u, w, p) in enumerate(rows):
+            # ints within intp and a float, as parsed documents hold, pass the first test
+            if not (type(u) is int is type(w) and type(p) is float and _LOW <= u <= _HIGH and _LOW <= w <= _HIGH
+                    or all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in (u, w, p))
+                    and all(_LOW <= x <= _HIGH and x % 1 == 0 for x in (u, w))):
+                fault = f"edge {k} needs whole endpoints in intp and a real probability, got {rows[k]!r}"
+                raise InstanceValidationError([fault])
+        edges = np.fromiter(rows, EDGE_DTYPE, len(rows))
+    edges.setflags(write=False)
+    return edges
 
 
 def validate(instance):
@@ -105,28 +131,34 @@ def validate(instance):
         v.append("n_providers must be at least 1")
     if m < 1:
         v.append("n_consumers must be at least 1")
-    if not np.all(np.isfinite(mat)):
-        bad = np.argwhere(~np.isfinite(mat))
-        for i, j in bad[:10]:
+    # zip(*np.nonzero(mask)) lists the flagged (i, j) in row-major order, as argwhere does, at half its cost
+    if not np.isfinite(mat).all():
+        for i, j in list(zip(*np.nonzero(~np.isfinite(mat))))[:10]:
             v.append(f"entry not finite at ({i},{j})")
         return v
-    for i, j in np.argwhere((mat < 0.0) | (mat > 1.0)):
+    for i, j in zip(*np.nonzero((mat < 0.0) | (mat > 1.0))):
         v.append(f"entry out of [0,1] at ({i},{j})")
     floor = math.ldexp(1.0, -instance.bit_precision)
-    for i, j in np.argwhere((mat > 0.0) & (mat < floor)):
+    for i, j in zip(*np.nonzero((mat > 0.0) & (mat < floor))):
         v.append(f"nonzero entry below 2^-{instance.bit_precision} at ({i},{j})")
-    seen = set()
-    for k, (u, w, p) in enumerate(instance.social_edges):
-        if not (0 <= u < m) or not (0 <= w < m):
-            v.append(f"edge {k} endpoint out of range: ({u},{w})")
+    u, w, p = (instance.social_edges[f] for f in EDGE_DTYPE.names)
+    out = (u.view(np.uintp) >= m) | (w.view(np.uintp) >= m)  # as unsigned, a negative endpoint is past m
+    # an edge repeats when an earlier one has its key; out-of-range edges share key -1 and report no repeat
+    key = np.where(out, -1, u * m + w)
+    order = np.argsort(key, kind="stable")
+    again = np.zeros(key.size, dtype=bool)
+    again[order[1:]] = key[order[1:]] == key[order[:-1]]
+    for k in np.flatnonzero(out | again | (u == w) | ~((p > 0.0) & (p <= 1.0))).tolist():
+        uk, wk, pk = instance.social_edges[k].tolist()
+        if out[k]:
+            v.append(f"edge {k} endpoint out of range: ({uk},{wk})")
             continue
-        if u == w:
-            v.append(f"edge {k} is a self-loop at {u}")
-        if not (0.0 < p <= 1.0):
-            v.append(f"edge {k} probability out of (0,1]: {p}")
-        if (u, w) in seen:
-            v.append(f"duplicate edge ({u},{w}) at index {k}")
-        seen.add((u, w))
+        if uk == wk:
+            v.append(f"edge {k} is a self-loop at {uk}")
+        if not (0.0 < pk <= 1.0):
+            v.append(f"edge {k} probability out of (0,1]: {pk}")
+        if again[k]:
+            v.append(f"duplicate edge ({uk},{wk}) at index {k}")
     return v + _scalar_violations(instance)
 
 
@@ -305,19 +337,14 @@ def parse_instance(text):
     raw_edges = doc["social_edges"]
     if not isinstance(raw_edges, list):
         raise InstanceFormatError("social_edges must be an array")
-    edges = []
     for k, e in enumerate(raw_edges):
-        if not isinstance(e, (list, tuple)) or len(e) != 3:
+        if not isinstance(e, list) or len(e) != 3:
             raise InstanceFormatError(f"social_edges[{k}] must be [source, target, probability]")
-        u, w = e[0], e[1]
-        # JSON integers need no check; the field names are built only for the rest
-        if type(u) is not int or type(w) is not int:
-            u = _integer(u, f"social_edges[{k}] source")
-            w = _integer(w, f"social_edges[{k}] target")
-        p = e[2]
-        if type(p) is not float:
-            p = _number(p, f"social_edges[{k}] probability")
-        edges.append((u, w, p))
+        # JSON integers and floats need no check; the field names are built only for the rest
+        if not (type(e[0]) is int is type(e[1]) and type(e[2]) is float):
+            _integer(e[0], f"social_edges[{k}] source")
+            _integer(e[1], f"social_edges[{k}] target")
+            _number(e[2], f"social_edges[{k}] probability")
     budgets = doc["budgets"]
     if not isinstance(budgets, dict):
         raise InstanceFormatError("budgets must be an object")
@@ -329,7 +356,7 @@ def parse_instance(text):
     lam = _integer(doc.get("bit_precision", DEFAULT_BIT_PRECISION), "bit_precision")
     inst = AimInstance(
         bipartite=mat,
-        social_edges=tuple(edges),
+        social_edges=raw_edges,
         budget_providers=b1,
         budget_consumers=b2,
         bit_precision=lam,
@@ -346,7 +373,7 @@ def _instance_doc(instance):
         "n": instance.n_providers,
         "m": instance.n_consumers,
         "bipartite": {"dense": instance.bipartite.tolist()},
-        "social_edges": instance.social_edges,
+        "social_edges": instance.social_edges.tolist(),
         "budgets": {
             "providers": instance.budget_providers,
             "consumers": instance.budget_consumers,

@@ -367,9 +367,22 @@ def test_packed_kernel_equals_dense_reference(case, samples):
         assert got == want
 
 
-@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+# endpoints at or above 65,536 no longer fit a 16-bit sort key; ties keep their order
+LAYOUT_CASES = {
+    **KERNEL_CASES,
+    "wide": make_instance(
+        np.full((1, 70_000), 0.5),
+        edges=[(69_999, 65_536, 0.5), (3, 65_536, 0.25), (65_536, 3, 0.5), (65_535, 69_999, 1.0),
+               (0, 65_535, 0.5), (69_998, 69_999, 0.75), (65_536, 0, 0.3)],
+        lam=1,
+    ),
+    "wide_no_edges": make_instance(np.full((1, 70_000), 0.5), lam=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
 def test_edge_arrays_equal_the_per_edge_build(case):
-    edges = KERNEL_CASES[case].social_edges
+    edges = LAYOUT_CASES[case].social_edges
     dst = np.array([e[1] for e in edges], dtype=np.intp)
     order = np.argsort(dst, kind="stable")
     want = (
@@ -377,14 +390,14 @@ def test_edge_arrays_equal_the_per_edge_build(case):
         np.array([e[2] for e in edges], dtype=float)[order],
         *np.unique(dst[order], return_index=True),
     )
-    got = diffusion._edge_arrays.__wrapped__(KERNEL_CASES[case])
+    got = diffusion._edge_arrays.__wrapped__(LAYOUT_CASES[case])
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.flags.c_contiguous and np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
 def test_reversed_edges_equal_the_per_edge_build(case):
-    edges = KERNEL_CASES[case].social_edges
+    edges = LAYOUT_CASES[case].social_edges
     src = np.array([e[0] for e in edges], dtype=np.intp)
     dst = np.array([e[1] for e in edges], dtype=np.intp)
     # edge u -> v becomes v -> u, grouped by u; the graph is simple, so
@@ -395,7 +408,7 @@ def test_reversed_edges_equal_the_per_edge_build(case):
         np.array([e[2] for e in edges], dtype=float)[order],
         *np.unique(src[order], return_index=True),
     )
-    got = diffusion._reversed_edges(KERNEL_CASES[case])
+    got = diffusion._reversed_edges(LAYOUT_CASES[case])
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.flags.c_contiguous and np.array_equal(g, w)
 
@@ -408,7 +421,7 @@ def reference_pool(instance, samples, rng):
     whose 32-bit halves give the targets as (half * m) >> 32, then the live
     edges as reference_draws takes them, edges ordered by (source, target).
     """
-    m, edges = instance.n_consumers, instance.social_edges
+    m, edges = instance.n_consumers, instance.social_edges.tolist()
     halves = rng.bit_generator.random_raw((samples + 1) // 2).view(np.uint32)[:samples]
     targets = [int(half) * m >> 32 for half in halves]
     live = np.empty((samples, len(edges)), dtype=bool)

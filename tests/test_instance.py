@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from amphimax.generators import gen_rank_r
 from amphimax.instance import (
+    EDGE_DTYPE,
     AimInstance,
     InstanceFormatError,
     InstanceValidationError,
@@ -84,6 +87,112 @@ def test_validate_reports_edge_problems():
     assert "self-loop" in msgs
     assert "probability out of (0,1]" in msgs
     assert "duplicate edge (0,1)" in msgs
+
+
+def test_validate_lists_every_edge_fault_in_order():
+    inst = make_instance(
+        np.full((1, 3), 0.5),
+        edges=[
+            (0, 5, 0.5),  # endpoint out of range
+            (0, 1, 0.5),
+            (0, 5, 0.5),  # out of range again: not reported as a duplicate
+            (-1, 2, 0.5),
+            (1, 1, 0.5),  # self-loop
+            (1, 0, 0.0),
+            (1, 2, 1.5),
+            (2, 0, float("nan")),
+            (0, 1, 0.25),  # plain duplicate
+            (1, 1, 1.5),  # self-loop, bad probability and duplicate at once
+            (2, 1, 1.0),
+        ],
+    )
+    assert validate(inst) == [
+        "edge 0 endpoint out of range: (0,5)",
+        "edge 2 endpoint out of range: (0,5)",
+        "edge 3 endpoint out of range: (-1,2)",
+        "edge 4 is a self-loop at 1",
+        "edge 5 probability out of (0,1]: 0.0",
+        "edge 6 probability out of (0,1]: 1.5",
+        "edge 7 probability out of (0,1]: nan",
+        "duplicate edge (0,1) at index 8",
+        "edge 9 is a self-loop at 1",
+        "edge 9 probability out of (0,1]: 1.5",
+        "duplicate edge (1,1) at index 9",
+    ]
+
+
+def test_validate_lists_matrix_faults_in_row_major_order():
+    M = np.full((3, 12), 0.5)
+    M[1, :] = np.nan
+    M[0, 1], M[2, 3] = np.nan, np.inf
+    # the first ten non-finite entries, row by row
+    assert validate(AimInstance(M, (), 1, 1)) == [f"entry not finite at ({i},{j})" for i, j in [(0, 1)] + [(1, j) for j in range(9)]]
+    M = np.full((2, 3), 0.5)
+    M[0, 1], M[1, 0], M[1, 2], M[0, 2] = 1.5, -0.25, 1e-9, 2.0**-5
+    assert validate(AimInstance(M, (), 1, 1, 4)) == [
+        "entry out of [0,1] at (0,1)",
+        "entry out of [0,1] at (1,0)",
+        "nonzero entry below 2^-4 at (0,2)",
+        "nonzero entry below 2^-4 at (1,2)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "edges, index",
+    [
+        ([(0.7, 1, 0.5), (1, 2, "0.25"), (True, 2, 0.5)], 0),
+        ([(0, 1, 0.5), (1, 2, "0.25")], 1),
+        ([(0, 1, 0.5), (1, 2, 0.5), (True, 2, 0.5)], 2),
+        ([(0, np.bool_(True), 0.5)], 0),
+        ([(0, 1, True)], 0),
+        ([(0, 1, None)], 0),
+        ([(0, "1", 0.5)], 0),
+        ([(0, 1.5, 0.5)], 0),
+        ([(float("nan"), 1, 0.5)], 0),
+        ([(0, 2**63, 0.5)], 0),
+        ([(0, np.float64("inf"), 0.5)], 0),
+    ],
+)
+def test_construction_refuses_edges_it_would_coerce(edges, index):
+    with pytest.raises(InstanceValidationError) as info:
+        AimInstance(np.full((1, 3), 0.5), edges, 1, 1)
+    assert info.value.violations == [
+        f"edge {index} needs whole endpoints in intp and a real probability, got {edges[index]!r}"
+    ]
+
+
+def test_construction_takes_whole_floats_and_numpy_scalars():
+    edges = [(1.0, np.int64(2), 1), (np.int32(0), 2.0, np.float32(0.5)), [2, 1, 0.25]]
+    inst = AimInstance(np.full((1, 3), 0.5), edges, 1, 1)
+    assert inst.social_edges.dtype == EDGE_DTYPE
+    assert inst.social_edges.tolist() == [(1, 2, 1.0), (0, 2, 0.5), (2, 1, 0.25)]
+    assert [tuple(map(type, e)) for e in inst.social_edges.tolist()] == [(int, int, float)] * 3
+
+
+def test_social_edges_are_a_read_only_copy():
+    source = np.array([(0, 1, 0.5), (1, 0, 0.25)], dtype=EDGE_DTYPE)
+    inst = AimInstance(np.full((1, 2), 0.5), source, 1, 1)
+    source["prob"] = 0.75
+    assert inst.social_edges.tolist() == [(0, 1, 0.5), (1, 0, 0.25)]
+    with pytest.raises(ValueError, match="read-only"):
+        inst.social_edges["prob"][0] = 0.9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.social_edges = source
+
+
+def test_social_graph_takes_24_bytes_per_edge():
+    # the instance of the benchmark's simulate_large workload
+    inst = gen_rank_r(20, 3000, 2, social_edge_count=20_000, seed=3)
+    assert inst.social_edges.dtype == EDGE_DTYPE and inst.social_edges.nbytes <= 24 * 20_000
+    tracemalloc.start()
+    try:
+        AimInstance(inst.bipartite, inst.social_edges, inst.budget_providers, inst.budget_consumers, inst.bit_precision)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrix and the edges are copied once (0.46 MiB each); rebuilt as
+    # (int, int, float) tuples the same edges allocated 1.3 MiB
+    assert peak - inst.bipartite.nbytes < 2**20
 
 
 def test_non_matrix_is_refused_at_construction():
@@ -370,7 +479,7 @@ def test_serialize_instance_matches_json_dumps_at_scale():
         "n": 20,
         "m": 3000,
         "bipartite": {"dense": [[float(x) for x in row] for row in inst.bipartite]},
-        "social_edges": [list(e) for e in inst.social_edges],
+        "social_edges": [list(e) for e in inst.social_edges.tolist()],
         "budgets": {"providers": inst.budget_providers, "consumers": inst.budget_consumers},
         "bit_precision": inst.bit_precision,
     }
