@@ -8,14 +8,7 @@ import time
 from . import __version__
 from ._rng import stream
 from .diffusion import EXACT_EDGE_LIMIT, default_sample_count, estimate_sigma, exact_sigma
-from .instance import (
-    InstanceFormatError,
-    InstanceValidationError,
-    _instance_doc,
-    dump_json,
-    numerical_rank,
-    parse_instance,
-)
+from .instance import _instance_doc, dump_json, numerical_rank, parse_instance
 from .net import MAX_NET_POINTS, NetSizeError, build_net
 from .sdg import E_COMPLEMENT, SdgConfig, approximation_ratio, solve
 
@@ -225,13 +218,8 @@ def main(argv=None):
         instance, checksum = _load_instance(args.instance) if "instance" in args else (None, None)
         _emit(args, args.func(args, instance), checksum, started)
         return 0
-    except (
-        InstanceFormatError,
-        InstanceValidationError,
-        NetSizeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # InstanceFormatError and InstanceValidationError are ValueErrors
+    except (NetSizeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

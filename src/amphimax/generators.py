@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from ._rng import instance_stream
-from .instance import EDGE_DTYPE, AimInstance, InstanceValidationError, _integer, _scalar_violations, min_bit_precision
+from .instance import EDGE_DTYPE, AimInstance, _number, min_bit_precision
 
 
 def random_digraph(m, edge_count, rng):
@@ -55,22 +55,18 @@ def gen_rank_r(
         A[rng.random((n, r)) >= edge_prob] = 0.0
     M = np.clip(A @ B, 0.0, 1.0)
     edges = random_digraph(m, social_edge_count, rng)
-    lam = bit_precision if bit_precision is not None else min_bit_precision(M)
+    lam = min_bit_precision(M) if bit_precision is None else _number(bit_precision, "bit_precision", whole=True)
     if math.ldexp(1.0, -lam) > M[M > 0].min(initial=1.0):
         raise ValueError(
             f"bit_precision {lam} too coarse: floor 2^-{lam} exceeds the smallest nonzero entry"
         )
-    inst = AimInstance(
+    return AimInstance(
         bipartite=M,
         social_edges=edges,
         budget_providers=max(1, n // 3) if budget_providers is None else budget_providers,
         budget_consumers=max(1, m // 3) if budget_consumers is None else budget_consumers,
         bit_precision=lam,
     )
-    violations = _scalar_violations(inst)
-    if violations:
-        raise InstanceValidationError(violations)
-    return inst
 
 
 def gen_planted_biclique(n_vertices, k, seed=0):
@@ -182,7 +178,7 @@ def gen_from_params(family, params, seed):
             f" (required: {', '.join(required)}; optional: {', '.join(optional) or 'none'})"
         )
     params = {
-        key: float(value) if key in _REAL_PARAMS else _integer(value, f"parameter {key!r}")
+        key: float(value) if key in _REAL_PARAMS else _number(value, f"parameter {key!r}", whole=True)
         for key, value in params.items()
     }
     extras = {}
@@ -213,7 +209,4 @@ def gen_from_params(family, params, seed):
             bottom_per_group=params.get("bottom", 1),
             middle_per_group=params.get("middle", 1),
         )
-    violations = _scalar_violations(inst)
-    if violations:
-        raise InstanceValidationError(violations)
     return inst, extras

@@ -16,11 +16,11 @@ _LOW, _HIGH = int(np.iinfo(np.intp).min), int(np.iinfo(np.intp).max)
 
 
 class InstanceFormatError(ValueError):
-    """Raised when an instance document cannot be parsed."""
+    """Raised when a document or a constructor argument gives a field of the wrong type or form."""
 
 
 class InstanceValidationError(ValueError):
-    """Raised when a parsed instance violates its invariants."""
+    """Raised when well-typed fields break an invariant: a size, budget, bit_precision, entry or edge."""
 
     def __init__(self, violations):
         super().__init__("invalid instance: " + "; ".join(violations))
@@ -32,7 +32,10 @@ class AimInstance:
     """One seeding problem: influence matrix, social graph, and budgets.
 
     The numbers of providers and consumers are the matrix's row and column
-    counts, read as n_providers and n_consumers.
+    counts, read as n_providers and n_consumers. Construction converts each
+    field, refusing a wrong type with InstanceFormatError, then checks the
+    O(1) invariants (sizes, budgets, bit_precision) with
+    InstanceValidationError; validate scans the entries and edges.
 
     Attributes
     ----------
@@ -48,6 +51,7 @@ class AimInstance:
         Exact number of consumers to seed.
     bit_precision : int
         Lambda such that every nonzero matrix entry is at least 2**-lambda.
+        It and the budgets are stored as ints; whole floats and NumPy integers convert.
     """
 
     bipartite: np.ndarray
@@ -57,12 +61,17 @@ class AimInstance:
     bit_precision: int = DEFAULT_BIT_PRECISION
 
     def __post_init__(self):
-        mat = np.array(self.bipartite, dtype=float)
+        mat = _float_matrix(self.bipartite, "bipartite")
         if mat.ndim != 2:
             raise InstanceValidationError([f"bipartite must be a 2-D matrix, got shape {mat.shape}"])
         mat.setflags(write=False)
         object.__setattr__(self, "bipartite", mat)
         object.__setattr__(self, "social_edges", _edge_array(self.social_edges))
+        for name in ("budget_providers", "budget_consumers", "bit_precision"):
+            object.__setattr__(self, name, _number(getattr(self, name), name, whole=True))
+        violations = _scalar_violations(self)
+        if violations:
+            raise InstanceValidationError(violations)
 
     @property
     def n_providers(self):
@@ -88,31 +97,92 @@ class AimInstance:
         )
 
 
-def _edge_array(edges):
-    """`edges` as a read-only EDGE_DTYPE array: a copy of one, or any sequence of triples converted.
+# int(), float() and np.array(dtype=float) would take booleans and numeric
+# strings, and np.array None as nan; a JSON number loads as exactly an int or a float
+_NUMBER_TYPES = frozenset((int, float))
+_JSON_KINDS = {bool: "a boolean", str: "a string", type(None): "null", list: "an array", dict: "an object"}
+_JSON_KINDS[np.bool_] = "a boolean"
 
-    A triple needs endpoints that are integers or whole floats within intp and a probability that is a real
-    number, none of them a boolean, else InstanceValidationError names its index: 0.7, True or "1" as an
+
+def _not_a(kind, field, value):
+    """InstanceFormatError saying `field` must be `kind`, and what it was instead."""
+    loaded = _JSON_KINDS.get(type(value), type(value).__name__)
+    return InstanceFormatError(f"{field} must be {kind}, got {loaded}")
+
+
+def _number(value, field, whole=False):
+    """`value` as a float, or as an int if `whole`; InstanceFormatError naming `field` if it is not one."""
+    if type(value) is (int if whole else float):
+        return value
+    kind = "an integer" if whole else "a number"
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise _not_a(kind, field, value)
+    try:
+        number = int(value) if whole else float(value)
+    except (ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f"{field} must be {kind}: {exc}") from exc
+    if whole and number != value:
+        raise InstanceFormatError(f"{field} must be an integer, got {value!r}")
+    return number
+
+
+def _float_matrix(rows, field):
+    """`rows` as a float array, or InstanceFormatError naming `field` if not real numbers or ragged.
+
+    An int or float ndarray passes by its dtype; anything else, once NumPy has read it as a matrix, entry by entry.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
+        return np.array(rows, dtype=float)
+    try:
+        mat = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f"{field} must be a matrix of numbers: {exc}") from exc
+    if mat.ndim == 2:
+        for row in rows:
+            if not _NUMBER_TYPES.issuperset(map(type, row)):
+                for value in row:
+                    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                        raise _not_a("a matrix of numbers", field, value)
+    return mat
+
+
+def _edge_array(edges):
+    """`edges` as a read-only EDGE_DTYPE array: a copy of one, or a list or tuple of triples converted.
+
+    A triple needs endpoints that are whole numbers within intp and a probability that is a real number,
+    none of them a boolean, else InstanceFormatError names its index and field: 0.7, True or "1" as an
     endpoint, or "0.25" as a probability, is refused, not coerced.
     """
     if isinstance(edges, np.ndarray) and edges.dtype == EDGE_DTYPE:
         edges = edges.copy()
+    elif not isinstance(edges, (list, tuple, np.ndarray)):
+        raise _not_a("an array of [source, target, probability]", "social_edges", edges)
     else:
-        rows = [tuple(e) for e in edges]
-        for k, (u, w, p) in enumerate(rows):
+        rows = []
+        for k, e in enumerate(edges):
+            try:
+                u, w, p = e
+            except (TypeError, ValueError):
+                raise InstanceFormatError(f"social_edges[{k}] must be [source, target, probability]") from None
             # ints within intp and a float, as parsed documents hold, pass the first test
-            if not (type(u) is int is type(w) and type(p) is float and _LOW <= u <= _HIGH and _LOW <= w <= _HIGH
-                    or all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in (u, w, p))
-                    and all(_LOW <= x <= _HIGH and x % 1 == 0 for x in (u, w))):
-                fault = f"edge {k} needs whole endpoints in intp and a real probability, got {rows[k]!r}"
-                raise InstanceValidationError([fault])
+            if not (type(u) is int is type(w) and type(p) is float and _LOW <= u <= _HIGH and _LOW <= w <= _HIGH):
+                field = f"social_edges[{k}]"
+                u, w = _number(u, f"{field} source", whole=True), _number(w, f"{field} target", whole=True)
+                p = _number(p, f"{field} probability")
+                if not (_LOW <= u <= _HIGH and _LOW <= w <= _HIGH):
+                    raise InstanceFormatError(f"{field} endpoints must fit in intp, got ({u}, {w})")
+            rows.append((u, w, p))
         edges = np.fromiter(rows, EDGE_DTYPE, len(rows))
     edges.setflags(write=False)
     return edges
 
 
 def validate(instance):
-    """Check every structural invariant of an instance.
+    """Check the matrix entries and the edges of an instance: the invariants that cost O(size).
+
+    Construction has already checked every field's type, the sizes, the
+    budgets and bit_precision; parse_instance and solve run this scan, as
+    they take instances from outside.
 
     Parameters
     ----------
@@ -121,16 +191,12 @@ def validate(instance):
     Returns
     -------
     list of str
-        One message per violation, each locating the offending entry, edge,
-        or budget. An empty list means the instance is well-formed.
+        One message per violation, each locating the offending entry or
+        edge. An empty list means the instance is well-formed.
     """
     v = []
-    n, m = instance.n_providers, instance.n_consumers
+    m = instance.n_consumers
     mat = instance.bipartite
-    if n < 1:
-        v.append("n_providers must be at least 1")
-    if m < 1:
-        v.append("n_consumers must be at least 1")
     # zip(*np.nonzero(mask)) lists the flagged (i, j) in row-major order, as argwhere does, at half its cost
     if not np.isfinite(mat).all():
         for i, j in list(zip(*np.nonzero(~np.isfinite(mat))))[:10]:
@@ -159,26 +225,27 @@ def validate(instance):
             v.append(f"edge {k} probability out of (0,1]: {pk}")
         if again[k]:
             v.append(f"duplicate edge ({uk},{wk}) at index {k}")
-    return v + _scalar_violations(instance)
+    return v
 
 
 def _scalar_violations(instance):
-    """The part of validate that checks bit_precision and the two budgets.
+    """The invariants that construction checks, as they cost O(1): both sizes, both budgets and bit_precision.
 
     The net grid runs from 2**-bit_precision past n_providers in steps of 1 + eps:
     n_providers * 2**bit_precision below 2**1023 keeps every step up to 2 in floats.
     """
     v = []
-    n, lam = instance.n_providers, instance.bit_precision
-    top = 1023 - int(n).bit_length()
+    n, m, lam = instance.n_providers, instance.n_consumers, instance.bit_precision
+    if n < 1:
+        v.append("n_providers must be at least 1")
+    if m < 1:
+        v.append("n_consumers must be at least 1")
+    top = 1023 - n.bit_length()
     if lam < 1:
         v.append("bit_precision must be at least 1")
     elif lam > top:
         v.append(f"bit_precision {lam} exceeds {top}: n_providers * 2^bit_precision must stay below 2^1023")
-    for side, budget, size in (
-        ("provider", instance.budget_providers, instance.n_providers),
-        ("consumer", instance.budget_consumers, instance.n_consumers),
-    ):
+    for side, budget, size in (("provider", instance.budget_providers, n), ("consumer", instance.budget_consumers, m)):
         if budget < 1:
             v.append(f"{side} budget must be at least 1, got {budget}")
         elif budget > size:
@@ -227,55 +294,6 @@ def min_bit_precision(M):
     return max(1, 1 - math.frexp(M.min(initial=1.0, where=M > 0))[1])
 
 
-# int(), float() and np.array(dtype=float) also take JSON true, false and
-# numeric strings; a JSON number loads as exactly an int or a float
-_NUMBER_TYPES = frozenset((int, float))
-_JSON_KINDS = {bool: "a boolean", str: "a string", type(None): "null", list: "an array", dict: "an object"}
-
-
-def _not_a(kind, field, value):
-    """InstanceFormatError saying `field` must be `kind`, and what it loaded as instead."""
-    loaded = _JSON_KINDS.get(type(value), type(value).__name__)
-    return InstanceFormatError(f"{field} must be {kind}, got {loaded}")
-
-
-def _integer(value, field):
-    """`value` as an int, or InstanceFormatError naming `field` if it is not a whole number."""
-    if type(value) not in _NUMBER_TYPES:
-        raise _not_a("an integer", field, value)
-    try:
-        whole = int(value)
-    except (ValueError, OverflowError) as exc:
-        raise InstanceFormatError(f"{field} must be an integer: {exc}") from exc
-    if whole != value:
-        raise InstanceFormatError(f"{field} must be an integer, got {value!r}")
-    return whole
-
-
-def _number(value, field):
-    """`value` as a float, or InstanceFormatError naming `field` if it is not a JSON number."""
-    if type(value) not in _NUMBER_TYPES:
-        raise _not_a("a number", field, value)
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise InstanceFormatError(f"{field} must be a number: {exc}") from exc
-
-
-def _float_matrix(rows, field):
-    """`rows` as a float array, or InstanceFormatError naming `field` if not numbers or ragged."""
-    try:
-        mat = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InstanceFormatError(f"{field} must be a matrix of numbers: {exc}") from exc
-    if mat.ndim == 2:
-        for row in rows:
-            if not _NUMBER_TYPES.issuperset(map(type, row)):
-                bad = next(v for v in row if type(v) not in _NUMBER_TYPES)
-                raise _not_a("a matrix of numbers", field, bad)
-    return mat
-
-
 def _matrix_from_doc(bip, n, m):
     if not isinstance(bip, dict):
         raise InstanceFormatError("bipartite must be an object with 'dense' or 'left'/'right'")
@@ -318,7 +336,8 @@ def parse_instance(text):
     InstanceFormatError
         When the document is not JSON or a field is missing or malformed.
     InstanceValidationError
-        When the parsed instance breaks an invariant.
+        When the parsed instance breaks an invariant: construction checks the
+        sizes, budgets and bit_precision, then validate the entries and edges.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -331,35 +350,22 @@ def parse_instance(text):
     for name in ("n", "m", "bipartite", "social_edges", "budgets"):
         if name not in doc:
             raise InstanceFormatError(f"missing field: {name}")
-    n = _integer(doc["n"], "n")
-    m = _integer(doc["m"], "m")
+    n = _number(doc["n"], "n", whole=True)
+    m = _number(doc["m"], "m", whole=True)
     mat = _matrix_from_doc(doc["bipartite"], n, m)
-    raw_edges = doc["social_edges"]
-    if not isinstance(raw_edges, list):
-        raise InstanceFormatError("social_edges must be an array")
-    for k, e in enumerate(raw_edges):
-        if not isinstance(e, list) or len(e) != 3:
-            raise InstanceFormatError(f"social_edges[{k}] must be [source, target, probability]")
-        # JSON integers and floats need no check; the field names are built only for the rest
-        if not (type(e[0]) is int is type(e[1]) and type(e[2]) is float):
-            _integer(e[0], f"social_edges[{k}] source")
-            _integer(e[1], f"social_edges[{k}] target")
-            _number(e[2], f"social_edges[{k}] probability")
     budgets = doc["budgets"]
     if not isinstance(budgets, dict):
         raise InstanceFormatError("budgets must be an object")
     for name in ("providers", "consumers"):
         if name not in budgets:
             raise InstanceFormatError(f"missing field: budgets.{name}")
-    b1 = _integer(budgets["providers"], "budgets.providers")
-    b2 = _integer(budgets["consumers"], "budgets.consumers")
-    lam = _integer(doc.get("bit_precision", DEFAULT_BIT_PRECISION), "bit_precision")
+    # the constructor checks the edges, budgets and bit_precision as it converts them
     inst = AimInstance(
         bipartite=mat,
-        social_edges=raw_edges,
-        budget_providers=b1,
-        budget_consumers=b2,
-        bit_precision=lam,
+        social_edges=doc["social_edges"],
+        budget_providers=budgets["providers"],
+        budget_consumers=budgets["consumers"],
+        bit_precision=doc.get("bit_precision", DEFAULT_BIT_PRECISION),
     )
     violations = validate(inst)
     if violations:

@@ -1,14 +1,18 @@
 """Per-consumer activation objectives: exact product form and the net-point surrogate."""
 
+import numbers
+
 import numpy as np
 
 NEG_COORD_TOL = 1e-9
 
 
 def indicator(members, size):
-    """0/1 vector of the given length with ones at the given indices."""
+    """0/1 vector of the given length with ones at the given indices, each a whole number in [0, size)."""
     bits = np.zeros(size, dtype=float)
     for i in members:
+        if not (isinstance(i, numbers.Real) and not isinstance(i, bool) and i % 1 == 0):
+            raise ValueError(f"index {i!r} is not a whole number")
         idx = int(i)
         if not 0 <= idx < size:
             raise ValueError(f"index {idx} out of range for ground set of {size}")

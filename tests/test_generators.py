@@ -17,6 +17,7 @@ from amphimax.generators import (
 )
 from amphimax.instance import (
     EDGE_DTYPE,
+    InstanceFormatError,
     InstanceValidationError,
     numerical_rank,
     parse_instance,
@@ -74,6 +75,13 @@ def test_rank_r_parameter_validation():
     for lam in (1021, 5000):
         with pytest.raises(InstanceValidationError, match=rf"^invalid instance: bit_precision {lam} exceeds 1020: .* 2\^1023$"):
             gen_rank_r(4, 3, 1, bit_precision=lam, seed=3)
+    # lambda is converted by the constructor's rule before the coarseness check
+    for lam in (np.int64(8), 8.0):
+        inst = gen_rank_r(4, 3, 1, social_edge_count=2, seed=3, bit_precision=lam)
+        assert type(inst.bit_precision) is int
+        assert inst == gen_rank_r(4, 3, 1, social_edge_count=2, seed=3, bit_precision=8)
+    with pytest.raises(InstanceFormatError, match=r"^bit_precision must be an integer, got 8\.5$"):
+        gen_rank_r(4, 3, 1, social_edge_count=2, seed=3, bit_precision=8.5)
     for edge_prob in (-0.5, 1.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"edge_prob must lie in \[0,1\]"):
             gen_rank_r(3, 3, 1, edge_prob=edge_prob)

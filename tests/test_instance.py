@@ -63,18 +63,23 @@ def test_bit_precision_bound_follows_the_provider_count():
         M = np.full((n, 2), 0.5)
         assert validate(make_instance(M, lam=top)) == []
         for lam in (top + 1, 1074, 1100):
-            msgs = validate(make_instance(M, lam=lam))
-            assert msgs == [f"bit_precision {lam} exceeds {top}: n_providers * 2^bit_precision must stay below 2^1023"]
+            with pytest.raises(InstanceValidationError) as info:
+                make_instance(M, lam=lam)
+            assert info.value.violations == [
+                f"bit_precision {lam} exceeds {top}: n_providers * 2^bit_precision must stay below 2^1023"
+            ]
         assert parse_instance(json.dumps(doc_for(M.tolist(), lam=top))).bit_precision == top
         with pytest.raises(InstanceValidationError, match=f"bit_precision {top + 1} exceeds {top}:"):
             parse_instance(json.dumps(doc_for(M.tolist(), lam=top + 1)))
 
 
-def test_validate_reports_budget_violations():
-    inst = make_instance([[0.5, 0.5]], b1=3, b2=1)
-    assert any("provider budget exceeds ground set (3 > 1)" in s for s in validate(inst))
-    inst = make_instance([[0.5, 0.5]], b1=1, b2=0)
-    assert any("consumer budget must be at least 1" in s for s in validate(inst))
+def test_construction_refuses_budget_violations():
+    with pytest.raises(InstanceValidationError) as info:
+        make_instance([[0.5, 0.5]], b1=3, b2=1)
+    assert info.value.violations == ["provider budget exceeds ground set (3 > 1)"]
+    with pytest.raises(InstanceValidationError) as info:
+        make_instance([[0.5, 0.5]], b1=1, b2=0)
+    assert info.value.violations == ["consumer budget must be at least 1, got 0"]
 
 
 def test_validate_reports_edge_problems():
@@ -137,28 +142,29 @@ def test_validate_lists_matrix_faults_in_row_major_order():
     ]
 
 
+COERCED_EDGES = [
+    ([(0.7, 1, 0.5), (1, 2, "0.25"), (True, 2, 0.5)], 0, "source must be an integer, got 0.7"),
+    ([(0, 1, 0.5), (1, 2, "0.25")], 1, "probability must be a number, got a string"),
+    ([(0, 1, 0.5), (1, 2, 0.5), (True, 2, 0.5)], 2, "source must be an integer, got a boolean"),
+    ([(0, np.bool_(True), 0.5)], 0, "target must be an integer, got a boolean"),
+    ([(0, 1, True)], 0, "probability must be a number, got a boolean"),
+    ([(0, 1, None)], 0, "probability must be a number, got null"),
+    ([(0, "1", 0.5)], 0, "target must be an integer, got a string"),
+    ([(0, 1.5, 0.5)], 0, "target must be an integer, got 1.5"),
+    ([(float("nan"), 1, 0.5)], 0, "source must be an integer: cannot convert float NaN to integer"),
+    ([(0, 2**63, 0.5)], 0, "endpoints must fit in intp, got (0, 9223372036854775808)"),
+    ([(0, np.float64("inf"), 0.5)], 0, "target must be an integer: cannot convert float infinity to integer"),
+]
+
+
 @pytest.mark.parametrize(
-    "edges, index",
-    [
-        ([(0.7, 1, 0.5), (1, 2, "0.25"), (True, 2, 0.5)], 0),
-        ([(0, 1, 0.5), (1, 2, "0.25")], 1),
-        ([(0, 1, 0.5), (1, 2, 0.5), (True, 2, 0.5)], 2),
-        ([(0, np.bool_(True), 0.5)], 0),
-        ([(0, 1, True)], 0),
-        ([(0, 1, None)], 0),
-        ([(0, "1", 0.5)], 0),
-        ([(0, 1.5, 0.5)], 0),
-        ([(float("nan"), 1, 0.5)], 0),
-        ([(0, 2**63, 0.5)], 0),
-        ([(0, np.float64("inf"), 0.5)], 0),
-    ],
+    "edges, index, fault", COERCED_EDGES, ids=[f"edges{k}-{case[1]}" for k, case in enumerate(COERCED_EDGES)]
 )
-def test_construction_refuses_edges_it_would_coerce(edges, index):
-    with pytest.raises(InstanceValidationError) as info:
+def test_construction_refuses_edges_it_would_coerce(edges, index, fault):
+    # the wording parse_instance gives the same fault in a document
+    with pytest.raises(InstanceFormatError) as info:
         AimInstance(np.full((1, 3), 0.5), edges, 1, 1)
-    assert info.value.violations == [
-        f"edge {index} needs whole endpoints in intp and a real probability, got {edges[index]!r}"
-    ]
+    assert str(info.value) == f"social_edges[{index}] {fault}"
 
 
 def test_construction_takes_whole_floats_and_numpy_scalars():
@@ -200,6 +206,49 @@ def test_non_matrix_is_refused_at_construction():
         with pytest.raises(InstanceValidationError) as info:
             AimInstance(bad, (), 1, 1)
         assert info.value.violations == [f"bipartite must be a 2-D matrix, got shape {bad.shape}"]
+
+
+LIBRARY_FAULTS = {
+    "matrix-string-and-boolean": (dict(bipartite=[["0.5", True]]), "bipartite must be a matrix of numbers, got a string"),
+    "matrix-boolean": (dict(bipartite=[[0.5, True]]), "bipartite must be a matrix of numbers, got a boolean"),
+    "matrix-none": (dict(bipartite=[[0.5, None]]), "bipartite must be a matrix of numbers, got null"),
+    "matrix-bool-array": (dict(bipartite=np.ones((1, 2), dtype=bool)), "bipartite must be a matrix of numbers, got a boolean"),
+    "budget-true": (dict(budget_providers=True), "budget_providers must be an integer, got a boolean"),
+    "budget-string": (dict(budget_consumers="1"), "budget_consumers must be an integer, got a string"),
+    "budget-half": (dict(budget_providers=1.5), "budget_providers must be an integer, got 1.5"),
+    "precision-half": (dict(bit_precision=2.5), "bit_precision must be an integer, got 2.5"),
+    "precision-numpy-half": (dict(bit_precision=np.float64(2.5)), "bit_precision must be an integer, got np.float64(2.5)"),
+    "edge-pair": (dict(social_edges=[(0, 1)]), "social_edges[0] must be [source, target, probability]"),
+    "edge-int": (dict(social_edges=[5]), "social_edges[0] must be [source, target, probability]"),
+    "edges-none": (dict(social_edges=None), "social_edges must be an array of [source, target, probability], got null"),
+}
+
+
+@pytest.mark.parametrize("fields, message", LIBRARY_FAULTS.values(), ids=LIBRARY_FAULTS.keys())
+def test_construction_refuses_what_the_json_path_refuses(fields, message):
+    # before, these loaded coerced, or broke solve, serialize_instance or validate with a bare TypeError
+    kwargs = dict(bipartite=[[0.5, 1.0]], social_edges=(), budget_providers=1, budget_consumers=1) | fields
+    with pytest.raises(InstanceFormatError) as info:
+        AimInstance(**kwargs)
+    assert str(info.value) == message
+
+
+def test_numpy_integer_budgets_and_precision_are_stored_as_ints():
+    inst = AimInstance(np.array([[0.5, 1.0]], dtype=np.float32), [(0, 1, 0.5)], np.int64(1), np.int32(2), np.int64(20))
+    fields = inst.budget_providers, inst.budget_consumers, inst.bit_precision
+    assert fields == (1, 2, 20) and all(type(x) is int for x in fields)
+    text = serialize_instance(inst)
+    assert text == serialize_instance(AimInstance([[0.5, 1.0]], [(0, 1, 0.5)], 1, 2, 20))
+    assert serialize_instance(parse_instance(text)) == text
+    # whole floats are whole numbers too
+    assert serialize_instance(AimInstance([[0.5, 1.0]], [(0, 1, 0.5)], 1.0, 2.0, 20.0)) == text
+
+
+def test_construction_refuses_empty_matrices():
+    for shape, side in (((0, 2), "provider"), ((1, 0), "consumer")):
+        with pytest.raises(InstanceValidationError) as info:
+            AimInstance(np.zeros(shape), (), 1, 1)
+        assert info.value.violations == [f"n_{side}s must be at least 1", f"{side} budget exceeds ground set (1 > 0)"]
 
 
 def rank_oracle(M, tol=1e-9):
@@ -313,8 +362,8 @@ def test_parse_rejects_non_numeric_or_ragged_matrices(bipartite, field):
     [
         (("n",), "n"),
         (("m",), "m"),
-        (("budgets", "providers"), "budgets.providers"),
-        (("budgets", "consumers"), "budgets.consumers"),
+        (("budgets", "providers"), "budget_providers"),
+        (("budgets", "consumers"), "budget_consumers"),
         (("bit_precision",), "bit_precision"),
         (("social_edges", 0, 0), "social_edges[0] source"),
         (("social_edges", 0, 1), "social_edges[0] target"),
@@ -340,8 +389,8 @@ def test_parse_rejects_non_integral_sizes_and_indices(path, field):
     [
         (("n",), "n must be an integer"),
         (("m",), "m must be an integer"),
-        (("budgets", "providers"), "budgets.providers must be an integer"),
-        (("budgets", "consumers"), "budgets.consumers must be an integer"),
+        (("budgets", "providers"), "budget_providers must be an integer"),
+        (("budgets", "consumers"), "budget_consumers must be an integer"),
         (("bit_precision",), "bit_precision must be an integer"),
         (("social_edges", 0, 0), "social_edges[0] source must be an integer"),
         (("social_edges", 0, 1), "social_edges[0] target must be an integer"),
@@ -377,8 +426,8 @@ def test_parse_rejects_booleans(path, field):
     [
         (("n",), "n must be an integer"),
         (("m",), "m must be an integer"),
-        (("budgets", "providers"), "budgets.providers must be an integer"),
-        (("budgets", "consumers"), "budgets.consumers must be an integer"),
+        (("budgets", "providers"), "budget_providers must be an integer"),
+        (("budgets", "consumers"), "budget_consumers must be an integer"),
         (("bit_precision",), "bit_precision must be an integer"),
         (("social_edges", 0, 0), "social_edges[0] source must be an integer"),
         (("social_edges", 0, 1), "social_edges[0] target must be an integer"),

@@ -1,8 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from amphimax.diffusion import exact_sigma
+from amphimax.generators import gen_rank_r
 from amphimax.relaxation import indicator, initial_activation, net_relaxation
 from reference import concave_relaxation
 
@@ -27,6 +30,17 @@ def test_indicator():
     assert np.array_equal(indicator((), 3), [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="out of range"):
         indicator((3,), 3)
+
+
+def test_indicator_refuses_indices_it_would_truncate():
+    for bad in (1.7, True, np.bool_(True), "1", float("nan"), np.float64(0.5)):
+        with pytest.raises(ValueError, match=re.escape(f"index {bad!r} is not a whole number")):
+            indicator([bad], 3)
+    assert indicator([np.int64(1), np.uint8(0), 2.0], 3).tolist() == [1.0, 1.0, 1.0]
+    # before, this read X = [1], Y = [0, 2] and returned that pair's sigma
+    inst = gen_rank_r(4, 3, 1, social_edge_count=2, seed=3)
+    with pytest.raises(ValueError, match="index 1.7 is not a whole number"):
+        exact_sigma(inst, [1.7], [0, 2.9])
 
 
 def test_activation_two_halves_example():
