@@ -1,6 +1,7 @@
 """Cascade sampling, spread estimation, and exact oracles for small instances."""
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,6 +16,9 @@ DEFAULT_MC_DELTA = 0.01
 # bytes of raw generator words, unpacked runs or float hits that one chunk of
 # the kernel or of the pool greedy holds (at least one row; see _chunks)
 DRAW_BUDGET = 1 << 24
+# in-edge columns that _propagate ORs as slices; the rest of a hub's in-edges go through one reduceat
+SLICE_COLUMNS = 8
+_Layout = namedtuple("_Layout", "prob pos src perm columns cuts")
 
 
 def default_sample_count(delta=DEFAULT_MC_DELTA, log_terms=0.0):
@@ -41,28 +45,44 @@ class SpreadEstimate:
     stream_path: tuple = None
 
 
-def _grouped(keys, *columns):
-    """`columns` in the stable order of `keys`, then (heads, cuts): `heads[k]` the key whose rows start at `cuts[k]`.
-
-    The stable sort runs on the narrowest unsigned dtype that holds the largest key present, a radix sort up
-    to 16 bits; a negative key fails in bincount.
-    """
-    order = np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
-    counts = np.bincount(keys)
-    heads = np.flatnonzero(counts)
-    return *(c[order] for c in columns), heads, (np.cumsum(counts) - counts)[heads]
+def _stable_order(keys):
+    """np.argsort(keys, kind="stable") for keys >= 0, on their narrowest unsigned dtype: a radix sort up to 16 bits."""
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
 
 
 @lru_cache(maxsize=256)
-def _edge_arrays(instance):
-    """Social edges grouped by target (see _grouped): (src, prob, heads, cuts), `heads` holding targets."""
-    return _grouped(*(instance.social_edges[field] for field in ("target", "source", "prob")))
+def _edge_arrays(instance, reverse=False):
+    """The social edges, drawn by target with ties in instance order, as _Layout(prob, pos, src, perm, columns, cuts).
 
-
-def _reversed_edges(instance):
-    """Social edges reversed, u -> v to v -> u, in the layout of _edge_arrays: `src` holds targets, `heads` sources."""
-    src, prob, heads, cuts = _edge_arrays(instance)
-    return _grouped(src, np.repeat(heads, np.diff(np.append(cuts, src.size))), prob)
+    With reverse, u -> v is v -> u, drawn by (u, v). The k-th drawn has probability prob[k] and position pos[k];
+    perm[l] is the consumer labelled l by descending in-degree, src[i] the source label at position i. Column c
+    holds the c-th in-edge of each consumer with more than c at its label, so its targets are labels 0 to n_c - 1:
+    columns lists (start, n_c) of the first SLICE_COLUMNS in turn, and later in-edges follow by label from cuts on.
+    """
+    edges = instance.social_edges
+    order = _stable_order(edges["target"])
+    if reverse:
+        order = order[_stable_order(edges["source"][order])]
+    # kept arrays first: made after the temporaries, they pinned the heap top (+2 MiB simulate_large RSS)
+    prob, pos, src = edges["prob"][order], np.empty_like(order), np.empty_like(order)
+    t, m = edges["source" if reverse else "target"][order], instance.n_consumers
+    degree = np.bincount(t, minlength=m)
+    perm = _stable_order(degree.max(initial=0) - degree)
+    label = _stable_order(perm)
+    # each edge's rank among its target's in-edges, which t lists together in ascending order
+    rank = np.arange(t.size) - (np.cumsum(degree) - degree)[t]
+    column = np.minimum(rank, SLICE_COLUMNS)
+    sizes = np.bincount(column, minlength=SLICE_COLUMNS + 1)
+    starts = np.cumsum(sizes) - sizes
+    extra = np.maximum(degree[perm] - SLICE_COLUMNS, 0)
+    tails = np.cumsum(extra) - extra
+    hubs = np.flatnonzero(column == SLICE_COLUMNS)
+    np.take(label, t, out=pos)
+    pos[hubs] = tails[pos[hubs]] + rank[hubs] - SLICE_COLUMNS
+    pos += starts[column]
+    src[pos] = label[edges["target" if reverse else "source"][order]]
+    columns = tuple((start, n) for start, n in zip(starts.tolist(), sizes[:-1].tolist()) if n)
+    return _Layout(prob, pos, src, perm, columns, starts[-1] + tails[: np.count_nonzero(extra)])
 
 
 def _chunks(count, row_bytes):
@@ -85,62 +105,69 @@ def _pack_runs(bits):
     return out
 
 
-def _draw_rows(probs, samples, count, raw):
+def _draw_rows(probs, samples, count, raw, at=None):
     """Bernoulli(p) rows for `count` blocks of `samples` runs on one run axis, packed as by _pack_runs.
 
-    Row k holds the runs of p = probs[k], block b as runs b * samples to (b + 1) * samples - 1. Rows
-    with p <= 0 stay clear and rows with p >= 1 are set, drawing nothing. Every other row is drawn:
-    raw(first, rows) returns the raw 64-bit words of drawn rows [first, first + rows), in [block, row,
-    word] order with ceil(samples/2) words per row and block, split into 32-bit halves in memory order;
-    run j of a block fires when its half j is below floor(p * 2**32), so p is rounded down to a multiple
-    of 2**-32 and a p below 2**-32 never fires. Drawn rows go in _chunks of their raw words or fired
-    bits, whichever is larger, one call of raw per chunk. Fired bits take one byte per run, padded to
-    whole words, so one flat packbits packs a chunk (on rows of 20 runs, about seven times faster than
-    packbits along rows). The bits depend on neither the chunk size nor the other blocks.
+    Row k holds the runs of p = probs[k], block b as runs b * samples to (b + 1) * samples - 1, as row at[k]
+    of the result (row k when `at` is None). Rows with p <= 0 stay clear and rows with p >= 1 are set,
+    drawing nothing. Every other row is drawn, in the order of `probs`: raw(first, rows) returns the raw
+    64-bit words of drawn rows [first, first + rows), in [block, row, word] order with ceil(samples/2) words
+    per row and block, split into 32-bit halves in memory order; run j of a block fires when its half j is
+    below floor(p * 2**32), so p is rounded down to a multiple of 2**-32 and a p below 2**-32 never fires.
+    Drawn rows go in _chunks of their raw words or fired bits, whichever is larger, one call of raw per
+    chunk. Fired bits take one byte per run, padded to whole words (one fill clears a mostly padding
+    buffer), so one flat packbits packs a chunk (on rows of 20 runs, about seven times faster than packbits
+    along rows) into 64-bit words. The bits depend on neither the chunk size nor the other blocks.
     """
     runs, width = count * samples, _word_bytes(count * samples)
-    out = np.zeros((probs.size, width), dtype=np.uint8)
-    out[probs >= 1.0, : (runs + 7) // 8] = np.packbits(np.ones(runs, dtype=bool))
-    drawn = np.flatnonzero((probs > 0.0) & (probs < 1.0))
+    certain, drawn = probs >= 1.0, np.flatnonzero((probs > 0.0) & (probs < 1.0))
     # exact for p in (0, 1): scaling by 2**32 is exact and the cast truncates
     thresholds = (probs[drawn] * 2.0**32).astype(np.uint32)
+    certain, drawn = (certain, drawn) if at is None else (at[certain], at[drawn])
+    out = np.zeros((probs.size, width // 8), dtype=np.uint64)
+    out.view(np.uint8)[certain, : (runs + 7) // 8] = np.packbits(np.ones(runs, dtype=bool))
     words = (samples + 1) // 2
     for part in _chunks(drawn.size, max(8 * words * count, 8 * width)):
         rows = part.stop - part.start
         # [b, r, j]: half j of drawn row part.start + r in block b
         halves = raw(part.start, rows).reshape(count, rows, words).view(np.uint32)[:, :, :samples]
         fired = np.empty((rows, 8 * width), dtype=bool)
-        fired[:, runs:] = False
+        (fired if 2 * runs < 8 * width else fired[:, runs:]).fill(False)
         blocks = fired[:, :runs].reshape(rows, count, samples)  # a view: only the last axis splits
         np.less(halves.transpose(1, 0, 2), thresholds[part, None, None], out=blocks)
         del halves  # free these words before the next chunk reads its own
-        out[drawn[part]] = np.packbits(fired).reshape(rows, width)
-    return out
+        out[drawn[part]] = np.packbits(fired).view(np.uint64).reshape(rows, -1)
+    return out.view(np.uint8)
 
 
-def _propagate(active, live, src, heads, cuts):
-    """Close the packed active sets under live edges, in place.
+def _propagate(active, live, layout):
+    """Close the packed active sets under the live edges of an _edge_arrays layout, in place.
 
-    `active` holds one row per consumer and `live` one row per edge in target order (see _edge_arrays), one
-    bit per run, in uint8 rows padded to whole 64-bit words (see _pack_runs); the loop runs on uint64 views
-    of them, 64 runs per word, and on 1-D views when rows are one word (the gather and reduceat run about
-    three times faster so). Each round only the newly activated frontier pushes along live edges; with no
-    edges there is nothing to push.
+    `active` holds one row per consumer and `live` one per layout position, one bit per run, in uint8 rows
+    padded to whole 64-bit words (see _pack_runs), seen as uint64, 1-D when rows are one word, the active rows in
+    label order. Each round gathers the frontier's bits at every position's source (a consumer without in-edges
+    repeats its first push, to no effect), keeps the live ones, ORs the sliced columns into column 0 as slices
+    and the later in-edges by one reduceat; the targets' bits not yet active are the next frontier.
     """
-    if not src.size:
+    if not layout.src.size:
         return
     words = slice(None) if active.shape[1] > 8 else 0
     active, live = (rows.view(np.uint64)[:, words] for rows in (active, live))
-    frontier = active.copy()
-    hit = np.zeros_like(active)
+    (_, targets), *columns = layout.columns
+    frontier = active[layout.perm]
+    inactive, joined, push = ~frontier[:targets], frontier[:targets], np.empty_like(live)
     while True:
-        push = frontier[src]
+        np.take(frontier, layout.src, axis=0, out=push, mode="clip")  # "raise" would buffer `out`
         push &= live
-        hit[heads] = np.bitwise_or.reduceat(push, cuts, axis=0)
-        np.bitwise_and(hit, ~active, out=frontier)
-        if not frontier.any():
-            return
-        active |= frontier
+        for start, n in columns:
+            push[:n] |= push[start : start + n]
+        if layout.cuts.size:
+            push[: layout.cuts.size] |= np.bitwise_or.reduceat(push, layout.cuts, axis=0)
+        np.bitwise_and(push[:targets], inactive, out=joined)
+        if not joined.any():
+            break
+        inactive ^= joined
+    active[layout.perm[:targets]] = ~inactive  # its padding bits stay set, so these stay clear
 
 
 def _batch_spread(instance, init_probs, samples, rng):
@@ -169,8 +196,8 @@ def _batch_spread(instance, init_probs, samples, rng):
         return rng.bit_generator.random_raw(rows * ((samples + 1) // 2))
 
     active = _draw_rows(init_probs, samples, 1, raw)
-    src, prob, heads, cuts = _edge_arrays(instance)
-    _propagate(active, _draw_rows(prob, samples, 1, raw), src, heads, cuts)
+    layout = _edge_arrays(instance)
+    _propagate(active, _draw_rows(layout.prob, samples, 1, raw, layout.pos), layout)
     totals = np.zeros(samples)
     for part in _chunks(active.shape[0], samples):
         totals += np.unpackbits(active[part], axis=1, count=samples).sum(axis=0)
@@ -181,35 +208,33 @@ def _batch_spread(instance, init_probs, samples, rng):
 
 def _window(instance, samples):
     """Raw words per RR pool window: ceil(samples/2) for the targets and each edge with 0 < p < 1."""
-    prob = _edge_arrays(instance)[1]
-    drawn = np.count_nonzero((prob > 0.0) & (prob < 1.0))
-    return (samples + 1) // 2 * (1 + drawn)
+    prob = _edge_arrays(instance).prob
+    return (samples + 1) // 2 * (1 + np.count_nonzero((prob > 0.0) & (prob < 1.0)))
 
 
 def rr_sampler(instance, samples, key):
     """draw(first, count): packed reverse-reachable (RR) sets, pools first to first + count - 1 of `samples` runs each.
 
     Run k picks a uniform target consumer, flips every social edge once, and
-    collects the consumers that reach the target over live edges (Borgs et
-    al., SODA 2014). The sampler sets up once the reversed edges, the window
-    length L (see _window) and one window_reader at key. Pool i reads the
-    fixed window [i * L, (i + 1) * L) of the raw PCG64DXSM words of
-    stream(*key): its first ceil(samples/2) words, split into 32-bit halves
-    in memory order, give target k as (half_k * m) >> 32, within 2**-32 of
-    1/m for every consumer, and the rest are the raw words of _draw_rows
-    for the reversed edges, in the order of _reversed_edges (by original
-    source, then target). Pool first + b is block b of the draw: bit
-    b * samples + k of row u in the (m, W) uint8 result, packed as by
-    _pack_runs, is set when u is in RR set k of that pool, and all of them
-    go through one _propagate on the reversed edges, seeded one-hot at the
-    targets. The batch's windows are read at once when one chunk of
-    _draw_rows holds every window row, else per pool: the targets, then
-    each chunk of edge rows; a pool's bits depend on neither the batch nor
-    the chunk size. Seeding each consumer u independently with probability
-    p_u then spreads to m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in expectation.
+    collects the consumers that reach the target over live edges (Borgs et al.,
+    SODA 2014). The sampler sets up once the reversed edges, the window length L
+    (see _window) and one window_reader at key. Pool i reads the fixed window
+    [i * L, (i + 1) * L) of the raw PCG64DXSM words of stream(*key): its first
+    ceil(samples/2) words, split into 32-bit halves in memory order, give target
+    k as (half_k * m) >> 32, within 2**-32 of 1/m for every consumer, and the
+    rest are the raw words of _draw_rows for the reversed edges, in their draw
+    order (by original source, then target). Pool first + b is block b of the
+    draw: bit b * samples + k of row u in the (m, W) uint8 result, packed as by
+    _pack_runs, is set when u is in RR set k of that pool, and all of them go
+    through one _propagate on the reversed edges, seeded one-hot at the targets.
+    The batch's windows are read at once when one chunk of _draw_rows holds
+    every window row, else per pool: the targets, then each chunk of edge rows;
+    a pool's bits depend on neither the batch nor the chunk size. Seeding each
+    consumer u independently with probability p_u then spreads to
+    m * E_k[1 - prod_{u in RR_k} (1 - p_u)] in expectation.
     """
     m = instance.n_consumers
-    src, prob, heads, cuts = _reversed_edges(instance)
+    layout = _edge_arrays(instance, True)
     words = (samples + 1) // 2
     window = _window(instance, samples)
     read = window_reader(key)
@@ -225,13 +250,13 @@ def rr_sampler(instance, samples, key):
 
         halves = raw(0, 1).view(np.uint32)[:, :samples]
         targets = (np.multiply(halves, m, dtype=np.uint64) >> 32).view(np.intp).ravel()
-        live = _draw_rows(prob, samples, count, lambda row, rows: raw(1 + row, rows))
+        live = _draw_rows(layout.prob, samples, count, lambda row, rows: raw(1 + row, rows), layout.pos)
         del raw, halves  # free the window words (a batch read is raw's default) before the pool is built
         runs = count * samples
         pool = np.empty((m, _word_bytes(runs)), dtype=np.uint8)
         for part in _chunks(m, runs):
             pool[part] = _pack_runs(np.arange(part.start, part.stop)[:, None] == targets)
-        _propagate(pool, live, src, heads, cuts)
+        _propagate(pool, live, layout)
         return pool
 
     return draw
@@ -277,7 +302,7 @@ def _exact_spread(instance, F):
     Every (world, seed) pair is one packed run of _propagate; worlds go in
     _chunks that keep the working arrays near DRAW_BUDGET bytes.
     """
-    src, prob, heads, cuts = _edge_arrays(instance)
+    prob = (layout := _edge_arrays(instance)).prob
     stoch = np.flatnonzero(prob < 1.0)
     k = stoch.size
     if k > EXACT_EDGE_LIMIT:
@@ -296,16 +321,16 @@ def _exact_spread(instance, F):
     start[seeds, np.arange(seeds.size)] = True
     # bytes per world: reach as floats, two (m, B) float arrays, unpacked live
     # bits, and the world's edge bits and factors
-    per_world = 8 * (m * (seeds.size + 2 * F.shape[0]) + src.size * seeds.size + 2 * k)
+    per_world = 8 * (m * (seeds.size + 2 * F.shape[0]) + prob.size * seeds.size + 2 * k)
     for part in _chunks(1 << k, per_world):
         worlds = np.arange(part.start, part.stop)
         bits = ((worlds[:, None] >> np.arange(k)) & 1).astype(bool)
         weight = np.where(bits, prob[stoch], 1.0 - prob[stoch]).prod(axis=1)
         active = _pack_runs(np.tile(start, worlds.size))
-        live = np.ones((src.size, worlds.size), dtype=bool)
-        live[stoch] = bits.T
+        live = np.ones((prob.size, worlds.size), dtype=bool)
+        live[layout.pos[stoch]] = bits.T
         live = _pack_runs(np.repeat(live, seeds.size, axis=1))
-        _propagate(active, live, src, heads, cuts)
+        _propagate(active, live, layout)
         reach = np.unpackbits(active, axis=1, count=worlds.size * seeds.size)
         logmiss = reach.reshape(m * worlds.size, seeds.size) @ logq
         covered = -np.expm1(logmiss).reshape(m, worlds.size, -1).sum(axis=0)

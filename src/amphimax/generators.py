@@ -8,6 +8,11 @@ from ._rng import instance_stream
 from .instance import EDGE_DTYPE, AimInstance, _number, min_bit_precision
 
 
+def _whole(**sizes):
+    """The sizes as ints, converted as bit_precision is: InstanceFormatError names the first that is not whole."""
+    return [_number(value, name, whole=True) for name, value in sizes.items()]
+
+
 def random_digraph(m, edge_count, rng):
     """Simple directed graph as an EDGE_DTYPE array: edge_count distinct ordered pairs, probabilities in (0, 0.5]."""
     if edge_count < 0 or edge_count > m * (m - 1):
@@ -41,6 +46,7 @@ def gen_rank_r(
     the matrix while keeping its rank at most r. Social edges form a random
     simple digraph with probabilities uniform in (0, 0.5].
     """
+    n, m, r, social_edge_count = _whole(n=n, m=m, r=r, social_edge_count=social_edge_count)
     if not 1 <= r <= min(n, m):
         raise ValueError(f"rank {r} must lie in [1, min({n},{m})]")
     if not 0.0 <= factor_low < 1.0:
@@ -76,7 +82,7 @@ def gen_planted_biclique(n_vertices, k, seed=0):
     1/n^2 on base-graph edges and 0 elsewhere, the social graph is empty, and
     both budgets are k/2. Returns (instance, planted vertex tuple).
     """
-    n = int(n_vertices)
+    n, k = _whole(n_vertices=n_vertices, k=k)
     if k % 2 or not 2 <= k <= n:
         raise ValueError(f"k must be even with 2 <= k <= {n}, got {k}")
     rng = instance_stream(seed, "planted", n, k)
@@ -106,6 +112,7 @@ def gen_classic_im(social_edges, m, b2):
     every chosen consumer activates outright, so optimizing the consumer set
     is exactly influence maximization on the social graph with budget b2.
     """
+    (m,) = _whole(m=m)
     return AimInstance(
         bipartite=np.ones((1, m)),
         social_edges=social_edges,
@@ -124,6 +131,8 @@ def gen_three_layer(k, groups, bottom_per_group, middle_per_group=1):
     edges at all. Budgets are one group of providers (k) and one middle pick
     per group (groups).
     """
+    sizes = _whole(k=k, groups=groups, bottom_per_group=bottom_per_group, middle_per_group=middle_per_group)
+    k, groups, bottom_per_group, middle_per_group = sizes
     if k < 1 or groups < 1 or bottom_per_group < 0 or middle_per_group < 1:
         raise ValueError("layer sizes must be positive (bottom may be zero)")
     n = k * groups

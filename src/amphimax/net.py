@@ -14,6 +14,9 @@ MAX_NET_POINTS = 200_000
 # candidate coordinates (candidate points x consumers) a build may hold; no
 # option raises it, only a coarser epsilon shrinks what a net needs
 CELL_CAP = 10**8
+# column tuples per stacked det, and candidate coordinates per stacked solve (at least one tuple)
+TUPLE_BATCH = 256
+BATCH_CELLS = 1 << 20
 
 
 class NetSizeError(RuntimeError):
@@ -83,14 +86,15 @@ def independent_column_tuples(basis):
     """Yield ascending index tuples of basis columns forming an invertible block.
 
     Tuples come out in lexicographic order; blocks with |det| <= 1e-10 are
-    treated as dependent and skipped.
+    treated as dependent and skipped, TUPLE_BATCH tuples per stacked det.
     """
     r = len(basis)
     if r == 0:
         return
-    for combo in itertools.combinations(range(basis.shape[1]), r):
-        if abs(np.linalg.det(basis[:, combo])) > DET_TOL:
-            yield combo
+    combos = itertools.combinations(range(basis.shape[1]), r)
+    while batch := list(itertools.islice(combos, TUPLE_BATCH)):
+        dets = np.linalg.det(basis[:, batch].transpose(1, 0, 2))
+        yield from (combo for combo, det in zip(batch, dets) if abs(det) > DET_TOL)
 
 
 def _candidates(rows, tuples, assignments, limit):
@@ -98,15 +102,16 @@ def _candidates(rows, tuples, assignments, limit):
 
     Each tuple pins its coordinates to every assignment row and solves for
     the rest; a candidate stays if every coordinate lies in
-    [-NOISE_TOL, limit], with negatives then set to 0.
+    [-NOISE_TOL, limit], with negatives then set to 0; tuples share stacked solves of ~BATCH_CELLS cells.
     """
     chunks = []
-    for combo in tuples:
-        block = rows[:, combo]
-        z = np.linalg.solve(block.T, assignments.T).T
-        pts = z @ rows
-        pts[:, list(combo)] = assignments  # pinned coordinates are exact grid values
-        keep = (pts >= -NOISE_TOL).all(axis=1) & (pts <= limit).all(axis=1)
+    size = max(1, BATCH_CELLS // (len(assignments) * rows.shape[1]))
+    for first in range(0, len(tuples), size):
+        combos = np.array(tuples[first : first + size])
+        # solve each tuple's transposed block, [t, j, i] = rows[i, combos[t, j]]; pinned coordinates are exact
+        pts = np.linalg.solve(rows[:, combos].transpose(1, 2, 0), assignments.T).transpose(0, 2, 1) @ rows
+        pts[np.arange(len(combos))[:, None, None], np.arange(len(assignments))[:, None], combos[:, None]] = assignments
+        keep = (pts >= -NOISE_TOL).all(axis=2) & (pts <= limit).all(axis=2)
         pts = pts[keep]
         pts[pts < 0.0] = 0.0
         chunks.append(pts)

@@ -40,8 +40,9 @@ def initial_activation(x, y, M):
     yb = _as_bits(y, m, "y")
     # factors lie in [0,1], so the product cannot overflow, and underflow
     # to 0 still gives the right 1 - miss; a provider with x_i = 0 contributes
-    # an exact factor of 1, so 0/1 vectors give the product over chosen rows
-    miss = np.prod(1.0 - xb[:, None] * M, axis=0)
+    # an exact factor of 1, so only the other rows are multiplied
+    chosen = np.flatnonzero(xb)
+    miss = np.prod(1.0 - xb[chosen][:, None] * M.take(chosen, axis=0), axis=0)
     return yb * (1.0 - miss)
 
 

@@ -15,9 +15,10 @@ from amphimax.diffusion import (
     exact_rho_bar,
     exact_sigma,
 )
-from amphimax.generators import gen_rank_r
+from amphimax.generators import gen_rank_r, random_digraph
 from amphimax.instance import AimInstance
 from amphimax.relaxation import indicator, initial_activation, net_relaxation
+from reference import closure
 
 
 def make_instance(M, edges=(), b1=1, b2=1, lam=20):
@@ -147,6 +148,14 @@ KERNEL_CASES = {
         lam=1,
     ),
     "rank_r": gen_rank_r(3, 12, 2, social_edge_count=40, seed=4),
+    # consumers 3 and 12 have 11 and 9 in-edges, past the 8 sliced columns; 15 has no edges
+    "hubs": make_instance(
+        np.full((1, 16), 0.5),
+        edges=[(u, 3, 0.1 + 0.07 * u) for u in (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11)]
+        + [(u, 12, 1.0 if u % 4 == 0 else 0.3) for u in range(9)]
+        + [(3, 13, 0.5), (13, 14, 1.0), (14, 0, 0.4)],
+        lam=1,
+    ),
 }
 
 
@@ -367,6 +376,45 @@ def test_packed_kernel_equals_dense_reference(case, samples):
         assert got == want
 
 
+def check_layout(layout, sources, targets, probs, m):
+    """The _edge_arrays layout holds sources[k] -> targets[k] (k in draw order) once each, in in-degree columns."""
+    E = sources.size
+    assert np.array_equal(layout.prob, probs) and layout.prob.dtype == float
+    assert np.array_equal(np.sort(layout.perm), np.arange(m))
+    assert np.array_equal(np.sort(layout.pos), np.arange(E))
+    # labels run by descending in-degree, ties by node
+    degree = np.bincount(targets, minlength=m)[layout.perm]
+    assert np.all((np.diff(degree) < 0) | ((np.diff(degree) == 0) & (np.diff(layout.perm) > 0)))
+    # column c holds the first n_c target labels, the columns follow one another, n_c shrinking
+    label_at = np.full(E, -1)
+    start = 0
+    for c, (first, n) in enumerate(layout.columns):
+        assert first == start and n == np.count_nonzero(degree > c)
+        label_at[first : first + n] = np.arange(n)
+        start += n
+    assert len(layout.columns) == min(diffusion.SLICE_COLUMNS, degree.max(initial=0))
+    # the later in-edges of each hub, grouped by label from the cuts on
+    hubs = np.count_nonzero(degree > diffusion.SLICE_COLUMNS)
+    assert layout.cuts.size == hubs
+    bounds = [*layout.cuts.tolist(), E]
+    assert bounds[0] == start
+    for label in range(hubs):
+        assert bounds[label + 1] - bounds[label] == degree[label] - diffusion.SLICE_COLUMNS
+        label_at[bounds[label] : bounds[label + 1]] = label
+    assert (label_at >= 0).all()
+    # each edge sits at its position once, its source given as a label
+    assert np.array_equal(layout.perm[layout.src[layout.pos]], sources)
+    assert np.array_equal(layout.perm[label_at[layout.pos]], targets)
+    # a target's columns, then its group, hold its in-edges in draw order
+    drawn = np.argsort(layout.pos)
+    for label in range(np.count_nonzero(degree)):
+        slots = [first + label for first, n in layout.columns if label < n]
+        slots += list(range(bounds[label], bounds[label + 1])) if label < hubs else []
+        assert np.all(np.diff(drawn[slots]) > 0)
+    for a in layout[:4]:
+        assert a.flags.c_contiguous
+
+
 # endpoints at or above 65,536 no longer fit a 16-bit sort key; ties keep their order
 LAYOUT_CASES = {
     **KERNEL_CASES,
@@ -377,40 +425,101 @@ LAYOUT_CASES = {
         lam=1,
     ),
     "wide_no_edges": make_instance(np.full((1, 70_000), 0.5), lam=1),
+    "large": gen_rank_r(4, 300, 1, social_edge_count=3000, seed=5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
 def test_edge_arrays_equal_the_per_edge_build(case):
-    edges = LAYOUT_CASES[case].social_edges
+    # edges are drawn by target, ties in instance order
+    inst = LAYOUT_CASES[case]
+    edges = inst.social_edges
+    src = np.array([e[0] for e in edges], dtype=np.intp)
     dst = np.array([e[1] for e in edges], dtype=np.intp)
     order = np.argsort(dst, kind="stable")
-    want = (
-        np.array([e[0] for e in edges], dtype=np.intp)[order],
-        np.array([e[2] for e in edges], dtype=float)[order],
-        *np.unique(dst[order], return_index=True),
-    )
-    got = diffusion._edge_arrays.__wrapped__(LAYOUT_CASES[case])
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and g.flags.c_contiguous and np.array_equal(g, w)
+    probs = np.array([e[2] for e in edges], dtype=float)[order]
+    check_layout(diffusion._edge_arrays.__wrapped__(inst), src[order], dst[order], probs, inst.n_consumers)
 
 
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
 def test_reversed_edges_equal_the_per_edge_build(case):
-    edges = LAYOUT_CASES[case].social_edges
+    inst = LAYOUT_CASES[case]
+    edges = inst.social_edges
     src = np.array([e[0] for e in edges], dtype=np.intp)
     dst = np.array([e[1] for e in edges], dtype=np.intp)
-    # edge u -> v becomes v -> u, grouped by u; the graph is simple, so
+    # edge u -> v becomes v -> u, drawn by (u, v); the graph is simple, so
     # (u, v) orders the edges completely
     order = np.lexsort((dst, src))
-    want = (
-        dst[order],
-        np.array([e[2] for e in edges], dtype=float)[order],
-        *np.unique(src[order], return_index=True),
-    )
-    got = diffusion._reversed_edges(LAYOUT_CASES[case])
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and g.flags.c_contiguous and np.array_equal(g, w)
+    probs = np.array([e[2] for e in edges], dtype=float)[order]
+    check_layout(diffusion._edge_arrays.__wrapped__(inst, True), dst[order], src[order], probs, inst.n_consumers)
+
+
+def propagate_cases():
+    """(name, instance) pairs: random graphs, one with a hub past the sliced columns, one without edges."""
+    rng = np.random.default_rng(31)
+    hub = [(u, 7, 0.5) for u in range(40) if u != 7] + [(7, v, 0.5) for v in range(40, 60)]
+    hub += [e for e in random_digraph(60, 90, rng).tolist() if 7 not in e[:2]]
+    return {
+        "sparse": make_instance(np.full((1, 30), 0.5), random_digraph(30, 45, rng).tolist(), lam=1),
+        "dense": make_instance(np.full((1, 25), 0.5), random_digraph(25, 300, rng).tolist(), lam=1),
+        "hub": make_instance(np.full((1, 60), 0.5), hub, lam=1),
+        "no_edges": make_instance(np.full((1, 12), 0.5), lam=1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(propagate_cases()))
+@pytest.mark.parametrize("runs", [1, 20, 64, 65, 200])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_propagate_equals_a_per_run_closure(case, runs, reverse):
+    # one-word rows (up to 64 runs) and multi-word rows, over both layouts
+    inst = propagate_cases()[case]
+    m, edges = inst.n_consumers, inst.social_edges
+    layout = diffusion._edge_arrays.__wrapped__(inst, reverse)
+    pairs = np.array([(e[0], e[1]) for e in edges], dtype=np.intp).reshape(-1, 2)
+    if reverse:
+        pairs = pairs[:, ::-1][np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    else:
+        pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
+    rng = np.random.default_rng([runs, len(edges)])
+    for density in (0.02, 0.3):
+        live = rng.random((len(edges), runs)) < 0.6
+        seeds = rng.random((m, runs)) < density
+        placed = np.empty((len(edges), diffusion._word_bytes(runs)), dtype=np.uint8)
+        placed[layout.pos] = diffusion._pack_runs(live)
+        active = diffusion._pack_runs(seeds)
+        diffusion._propagate(active, placed, layout)
+        bits = np.unpackbits(active, axis=1)
+        assert np.array_equal(bits[:, :runs], closure(m, pairs.tolist(), live, seeds))
+        assert not bits[:, runs:].any()
+
+
+def test_a_hub_propagates_through_its_later_in_edges():
+    # consumer 0's only live in-edge is its last, past the sliced columns
+    edges = [(u, 0, 0.5) for u in range(1, 12)]
+    inst = make_instance(np.full((1, 12), 0.5), edges, lam=1)
+    layout = diffusion._edge_arrays.__wrapped__(inst)
+    assert layout.cuts.size == 1
+    live = np.zeros((11, 1), dtype=bool)
+    live[10] = True  # the edge 11 -> 0, drawn last
+    placed = np.empty((11, 8), dtype=np.uint8)
+    placed[layout.pos] = diffusion._pack_runs(live)
+    active = diffusion._pack_runs(np.eye(12, 1, -11, dtype=bool))  # consumer 11 alone
+    diffusion._propagate(active, placed, layout)
+    assert np.flatnonzero(np.unpackbits(active, axis=1)[:, 0]).tolist() == [0, 11]
+
+
+@pytest.mark.parametrize("case", ["fan_in", "rank_r", "large"])
+@pytest.mark.parametrize("samples, count", [(1, 1), (20, 1), (20, 3), (65, 2), (300, 1)])
+def test_rows_drawn_into_the_layout_are_the_draw_order_rows_moved(case, samples, count):
+    layout = diffusion._edge_arrays(LAYOUT_CASES[case])
+    words = raw_words(np.random.default_rng(samples), count, layout.prob, samples)
+
+    def raw(first, rows):
+        return words[:, first : first + rows]
+
+    rows = diffusion._draw_rows(layout.prob, samples, count, raw)
+    placed = diffusion._draw_rows(layout.prob, samples, count, raw, layout.pos)
+    assert placed.dtype == np.uint8 and np.array_equal(placed[layout.pos], rows)
 
 
 def reference_pool(instance, samples, rng):
@@ -614,7 +723,7 @@ def test_packed_draws_do_not_depend_on_the_chunk_size(monkeypatch, samples):
     # a 2400-byte budget 3 rows of 3 blocks
     inst = KERNEL_CASES["fan_in"]
     init = _init_probs(inst.n_consumers, 0)
-    _, prob, _, _ = diffusion._edge_arrays(inst)
+    prob = diffusion._edge_arrays(inst).prob
     want = dense_batch_spread(inst, init, samples, np.random.default_rng(5))
     words = {c: [raw_words(np.random.default_rng([5, c]), c, p, samples) for p in (init, prob)] for c in (1, 3)}
     bits = {}

@@ -90,6 +90,28 @@ def test_rank_r_parameter_validation():
     assert gen_rank_r(3, 3, 1, edge_prob=1.0, seed=2) == gen_rank_r(3, 3, 1, seed=2)
 
 
+def test_generator_sizes_convert_as_bit_precision_does():
+    # whole floats and NumPy integers are the ints they equal; anything else
+    # is refused with an error naming the argument
+    assert gen_rank_r(np.int64(4), 3.0, 1, social_edge_count=2.0, seed=3) == gen_rank_r(4, 3, 1, social_edge_count=2, seed=3)
+    assert gen_planted_biclique(8.0, np.int64(4), seed=2)[1] == gen_planted_biclique(8, 4, seed=2)[1]
+    assert gen_classic_im((), 3.0, 1) == gen_classic_im((), 3, 1)
+    layered = gen_three_layer(k=2.0, groups=np.int64(2), bottom_per_group=1.0, middle_per_group=np.int8(1))
+    assert layered == gen_three_layer(k=2, groups=2, bottom_per_group=1)
+    refused = [
+        (lambda: gen_planted_biclique(8.7, 4), r"^n_vertices must be an integer, got 8\.7$"),
+        (lambda: gen_rank_r(4.5, 3, 1), r"^n must be an integer, got 4\.5$"),
+        (lambda: gen_rank_r(4, 3, 1, social_edge_count=2.5), r"^social_edge_count must be an integer, got 2\.5$"),
+        (lambda: gen_rank_r(4, "3", 1), r"^m must be an integer"),
+        (lambda: gen_rank_r(4, 3, True), r"^r must be an integer"),
+        (lambda: gen_classic_im((), 3.5, 1), r"^m must be an integer, got 3\.5$"),
+        (lambda: gen_three_layer(k=2, groups=1, bottom_per_group=0.5), r"^bottom_per_group must be an integer"),
+    ]
+    for call, message in refused:
+        with pytest.raises(InstanceFormatError, match=message):
+            call()
+
+
 def loop_random_digraph(m, edge_count, rng):
     """Reference: the per-edge loop random_digraph replaced, same draws."""
     if edge_count == 0:

@@ -167,6 +167,59 @@ def test_independent_column_tuples_generic_matrix_keeps_all():
     assert len(list(independent_column_tuples(basis))) == math.comb(5, 2)
 
 
+def per_tuple_net(M, basis, epsilon, bit_precision):
+    """The tuples and stacked candidates of build_net, one np.linalg.det and one solve per column tuple."""
+    tuples = [
+        combo
+        for combo in itertools.combinations(range(basis.shape[1]), len(basis))
+        if abs(np.linalg.det(basis[:, combo])) > net_module.DET_TOL
+    ]
+    weak = math.sqrt(1.0 + epsilon) - 1.0
+    grid = build_grid(bit_precision, weak, M.shape[0])
+    assignments = np.stack(np.meshgrid(*([grid] * len(basis)), indexing="ij"), axis=-1).reshape(-1, len(basis))
+    limit = M.shape[0] * (1.0 + weak) + net_module.NOISE_TOL
+    chunks = []
+    for combo in tuples:
+        pts = np.linalg.solve(basis[:, combo].T, assignments.T).T @ basis
+        pts[:, list(combo)] = assignments
+        pts = pts[(pts >= -net_module.NOISE_TOL).all(axis=1) & (pts <= limit).all(axis=1)]
+        pts[pts < 0.0] = 0.0
+        chunks.append(pts)
+    return tuples, np.vstack(chunks), assignments, limit
+
+
+@pytest.mark.parametrize("batch, cells", [(1, 1), (2, 1), (3, 10**9), (256, 1 << 20)])
+def test_batched_det_and_solve_equal_the_per_tuple_loop(monkeypatch, batch, cells):
+    # batches of any size give the per-tuple tuples and candidates bit for bit
+    monkeypatch.setattr(net_module, "TUPLE_BATCH", batch)
+    monkeypatch.setattr(net_module, "BATCH_CELLS", cells)
+    dependent = np.array([[1.0, 1.0, 0.5, 0.2, 0.6], [0.5, 0.5, 1.0, 0.1, 0.3], [0.3, 0.3, 0.2, 0.9, 0.45]])
+    cases = [
+        (np.ones((1, 50)), 0.5, 1),
+        (gen_rank_r(4, 3, 2, social_edge_count=2, seed=3).bipartite, 0.8, 8),
+        (gen_rank_r(6, 5, 1, social_edge_count=6, seed=3).bipartite, 0.6, 8),
+        (gen_rank_r(8, 7, 3, seed=4).bipartite, 3.0, 5),
+        (dependent, 1.0, 6),
+    ]
+    for M, epsilon, bit_precision in cases:
+        basis = numerical_rank(M)
+        tuples, candidates, assignments, limit = per_tuple_net(M, basis, epsilon, bit_precision)
+        assert list(independent_column_tuples(basis)) == tuples
+        got = net_module._candidates(basis, tuples, assignments, limit)
+        assert got.shape == candidates.shape and got.tobytes() == candidates.tobytes()
+    assert len(per_tuple_net(dependent, numerical_rank(dependent), 1.0, 6)[0]) < math.comb(5, 3)
+
+
+def test_column_tuples_are_examined_a_batch_at_a_time(monkeypatch):
+    # C(3000, 2) tuples exist; the first one takes one stacked det of TUPLE_BATCH blocks
+    basis = numerical_rank(gen_rank_r(4, 3000, 2, seed=3).bipartite)
+    det = np.linalg.det
+    stacks = []
+    monkeypatch.setattr(np.linalg, "det", lambda blocks: stacks.append(blocks.shape) or det(blocks))
+    assert next(independent_column_tuples(basis)) == (0, 1)
+    assert stacks == [(net_module.TUPLE_BATCH, 2, 2)]
+
+
 def test_weak_net_zero_matrix():
     M = np.zeros((3, 4))
     net = build_net(M, numerical_rank(M), 0.5, bit_precision=1)

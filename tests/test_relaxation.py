@@ -93,6 +93,20 @@ def test_activation_on_0_1_vectors_is_the_product_over_chosen_rows():
         assert np.array_equal(initial_activation(x, y, M), want)
 
 
+def test_activation_with_fractional_x_keeps_the_full_product_bit_for_bit():
+    # a provider with x_i = 0 contributes an exact factor 1, so the product
+    # over the other rows equals the product over all rows, bit for bit
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n, m = rng.integers(1, 9), rng.integers(1, 30)
+        M = rng.random((n, m)) * (rng.random((n, m)) < 0.8)
+        x = rng.random(n) * (rng.random(n) < 0.5)
+        x[rng.random(n) < 0.2] = 1.0
+        y = rng.random(m)
+        want = y * (1.0 - np.prod(1.0 - x[:, None] * M, axis=0))
+        assert initial_activation(x, y, M).tobytes() == want.tobytes()
+
+
 def test_activation_monte_carlo_cross_check():
     rng = np.random.default_rng(17)
     M = rng.random((3, 4)) * 0.8
